@@ -20,7 +20,10 @@ const (
 	AuditKindPolicyError  = "policy-error"
 	AuditKindQuarantine   = "quarantine"
 	AuditKindBreaker      = "breaker"
-	AuditKindDriver       = "driver"
+	// A driver event records a failed fetch (Outcome "stale-fallback: …"
+	// when last-good values stood in). It precedes, in the trail, the
+	// first apply of its cycle that read the driver.
+	AuditKindDriver = "driver"
 	// Reconciliation kinds: a drift event records that observed OS state
 	// diverged from desired (Outcome carries the drift class); a repair
 	// event records the reconciler's corrective re-apply.
@@ -91,17 +94,62 @@ type AuditSink interface {
 // auditCtx is the binding context the middleware installs around each
 // translator apply, so control-op events recorded by AuditOS inherit the
 // step time, binding names, and entity attribution. Several contexts can
-// be active at once (the parallel apply pool brackets each binding's
-// apply with its own context); events are matched to a context by the
-// thread or cgroup they touch.
+// be active at once (pool workers bracket each binding's apply with its
+// own context); events are matched to a context by the thread or cgroup
+// they touch.
+//
+// A binding owns one context for its lifetime and re-arms it per apply.
+// The context only points at the apply's entity map — binding-owned and
+// read-only while the context is installed; the thread and cgroup indexes
+// over it are built on the first lookup, because most applies record no
+// control-op event at all. Everything but trail and end is guarded by
+// trail.mu.
 type auditCtx struct {
-	at          time.Duration
-	policy      string
-	translator  string
+	trail *AuditTrail
+	// end removes the context from the trail: the bracket's closing half,
+	// bound once so installing a context allocates nothing.
+	end func()
+
+	at         time.Duration
+	policy     string
+	translator string
+	entities   map[string]Entity
+
+	indexed     bool
 	entityByTID map[int]string
 	// groups is the set of cgroup names this binding may touch: entity
 	// names (per-op groups) and query names (per-query groups).
 	groups map[string]bool
+}
+
+func newAuditCtx(t *AuditTrail, policy, translator string) *auditCtx {
+	c := &auditCtx{
+		trail: t, policy: policy, translator: translator,
+		entityByTID: make(map[int]string),
+		groups:      make(map[string]bool),
+	}
+	c.end = func() { t.endApply(c) }
+	return c
+}
+
+// index builds the thread and cgroup indexes of the current apply's
+// entities, once per apply. Caller holds trail.mu.
+func (c *auditCtx) index() {
+	if c.indexed {
+		return
+	}
+	c.indexed = true
+	clear(c.entityByTID)
+	clear(c.groups)
+	for name, ent := range c.entities {
+		if ent.Thread != 0 {
+			c.entityByTID[ent.Thread] = name
+		}
+		c.groups[name] = true
+		if ent.Query != "" {
+			c.groups[ent.Query] = true
+		}
+	}
 }
 
 // AuditTrail is a bounded ring buffer of audit events with an optional
@@ -117,7 +165,7 @@ type AuditTrail struct {
 	total    int64
 	sink     AuditSink
 	// ctxs are the active apply contexts. Sequential stepping keeps at
-	// most one; the parallel apply pool keeps one per in-flight binding.
+	// most one; the worker pool keeps one per in-flight binding.
 	ctxs []*auditCtx
 }
 
@@ -151,6 +199,7 @@ func (t *AuditTrail) resolveCtx(e *AuditEvent) *auditCtx {
 	}
 	if e.Thread != 0 {
 		for _, c := range t.ctxs {
+			c.index()
 			if _, ok := c.entityByTID[e.Thread]; ok {
 				return c
 			}
@@ -158,6 +207,7 @@ func (t *AuditTrail) resolveCtx(e *AuditEvent) *auditCtx {
 	}
 	if e.Cgroup != "" {
 		for _, c := range t.ctxs {
+			c.index()
 			if c.groups[e.Cgroup] {
 				return c
 			}
@@ -182,6 +232,7 @@ func (t *AuditTrail) Record(e AuditEvent) {
 			e.Translator = c.translator
 		}
 		if e.Entity == "" && e.Thread != 0 {
+			c.index()
 			e.Entity = c.entityByTID[e.Thread]
 		}
 	}
@@ -229,27 +280,17 @@ func (t *AuditTrail) Total() int64 {
 // Capacity returns the ring size.
 func (t *AuditTrail) Capacity() int { return t.capacity }
 
-// beginApply installs a binding context for control ops recorded during
-// one translator apply and returns a token; endApply(token) removes that
-// context. Multiple contexts may be active concurrently (one per apply
-// worker).
-func (t *AuditTrail) beginApply(at time.Duration, policy, translator string, entities map[string]Entity) *auditCtx {
-	byTID := make(map[int]string, len(entities))
-	groups := make(map[string]bool, 2*len(entities))
-	for name, ent := range entities {
-		if ent.Thread != 0 {
-			byTID[ent.Thread] = name
-		}
-		groups[name] = true
-		if ent.Query != "" {
-			groups[ent.Query] = true
-		}
-	}
-	c := &auditCtx{at: at, policy: policy, translator: translator, entityByTID: byTID, groups: groups}
+// beginApply arms a binding's context for one translator apply over
+// entities and installs it; c.end (endApply) removes it. Multiple contexts
+// may be active concurrently (one per pool worker). entities must not be
+// written while the context is installed.
+func (t *AuditTrail) beginApply(c *auditCtx, at time.Duration, entities map[string]Entity) {
 	t.mu.Lock()
+	c.at = at
+	c.entities = entities
+	c.indexed = false
 	t.ctxs = append(t.ctxs, c)
 	t.mu.Unlock()
-	return c
 }
 
 func (t *AuditTrail) endApply(c *auditCtx) {

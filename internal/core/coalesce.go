@@ -50,11 +50,12 @@ type CoalescerSeed struct {
 // before re-applying, which marks the knob dirty and forces the next
 // write through regardless of the mirror.
 //
-// In batch mode (Begin ... Flush around one translator apply), ops are
-// buffered last-wins per knob and flushed grouped per cgroup — ensure,
-// then shares, then the moves into it — followed by renices, then
-// removals/restores. Individual op calls return nil immediately;
-// errors surface joined from Flush.
+// In batch mode (Begin ... Flush around one translator apply), an op that
+// is the first of its knob in the batch and already matches the mirror is
+// suppressed on the spot; the rest are buffered last-wins per knob and
+// flushed grouped per cgroup — ensure, then shares, then the moves into
+// it — followed by renices, then removals/restores. Individual op calls
+// return nil immediately; errors surface joined from Flush.
 //
 // A Coalescer is safe for concurrent use, but the intended deployment is
 // one Coalescer per binding (set Binding.Coalescer), so per-binding
@@ -118,6 +119,11 @@ func newCoalesceBatch() *coalesceBatch {
 		removes:  make(map[string]bool),
 		restores: make(map[int]bool),
 	}
+}
+
+// empty reports whether the batch holds no op.
+func (b *coalesceBatch) empty() bool {
+	return len(b.ensures)+len(b.shares)+len(b.moves)+len(b.nices)+len(b.removes)+len(b.restores) == 0
 }
 
 // reset clears the batch for reuse, retaining map buckets.
@@ -224,9 +230,9 @@ func (c *Coalescer) Begin() {
 
 // Flush applies the buffered batch through the wrapped chain — grouped per
 // cgroup (ensure, shares, moves), then renices, then removals and
-// restores — and closes the batch. Ops whose value already matches the
-// mirror are dropped here. Vanished-entity errors are benign skips,
-// matching translator semantics.
+// restores — and closes the batch. Buffered ops whose final value matches
+// the mirror (set away from it, then back) are dropped here. Vanished-entity
+// errors are benign skips, matching translator semantics.
 //
 // When the wrapped chain implements BatchApplier (e.g. a
 // driver.SubmitQueue), the surviving ops descend as one contiguous batch —
@@ -243,6 +249,10 @@ func (c *Coalescer) Flush() error {
 	c.flushes.Add(1)
 	if ctr := c.ctrFlushes; ctr != nil {
 		ctr.Inc()
+	}
+	if buf.empty() {
+		// Every op was suppressed as it arrived: the steady-state flush.
+		return nil
 	}
 
 	// Per-cgroup groups of surviving ops: ensure, shares, then moves.
@@ -574,12 +584,21 @@ func (c *Coalescer) restoreLocked(tid int) error {
 }
 
 // --- OSInterface (buffer when batching, else immediate) ---
+//
+// While batching, an op that matches the mirror (dirty marks honoured) is
+// suppressed as it arrives unless the batch already holds an op for the
+// same knob — then it must be buffered, or last-wins would resurrect the
+// earlier value at Flush.
 
 // SetNice implements OSInterface.
 func (c *Coalescer) SetNice(tid, nice int) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.batching {
+		if _, pending := c.buf.nices[tid]; !pending && !c.niceNeeded(tid, nice) {
+			c.countSuppressed()
+			return nil
+		}
 		c.buf.nices[tid] = nice
 		return nil
 	}
@@ -591,6 +610,10 @@ func (c *Coalescer) EnsureCgroup(name string) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.batching {
+		if !c.buf.ensures[name] && !c.ensureNeeded(name) {
+			c.countSuppressed()
+			return nil
+		}
 		c.buf.ensures[name] = true
 		return nil
 	}
@@ -602,6 +625,10 @@ func (c *Coalescer) SetShares(name string, shares int) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.batching {
+		if _, pending := c.buf.shares[name]; !pending && !c.sharesNeeded(name, shares) {
+			c.countSuppressed()
+			return nil
+		}
 		c.buf.shares[name] = shares
 		return nil
 	}
@@ -613,6 +640,10 @@ func (c *Coalescer) MoveThread(tid int, name string) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.batching {
+		if _, pending := c.buf.moves[tid]; !pending && !c.moveNeeded(tid, name) {
+			c.countSuppressed()
+			return nil
+		}
 		c.buf.moves[tid] = name
 		return nil
 	}

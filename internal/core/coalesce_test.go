@@ -244,6 +244,103 @@ func TestCoalescerBatchOrdering(t *testing.T) {
 	}
 }
 
+// batchLogOS is logOS with the BatchApplier capability, so the same
+// assertions cover the Coalescer's batch-submission flush path.
+type batchLogOS struct{ logOS }
+
+func (l *batchLogOS) ApplyBatch(ops []ControlOp, errs []error) {
+	for i, op := range ops {
+		errs[i] = ApplyOp(&l.logOS, op)
+	}
+}
+
+// TestCoalescerBatchSuppressesAtOpTime: while batching, an op that is the
+// first of its knob in the batch and matches the mirror is counted
+// suppressed and never buffered, so a steady-state batch reaches Flush
+// empty. Last-wins must survive that shortcut — a knob set away from the
+// mirror and back writes nothing — as must dirty marks and the
+// updates-then-removes-then-restores order.
+func TestCoalescerBatchSuppressesAtOpTime(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		mk   func() (OSInterface, *logOS)
+	}{
+		{"per-op", func() (OSInterface, *logOS) { l := &logOS{}; return l, l }},
+		{"batch-applier", func() (OSInterface, *logOS) { l := &batchLogOS{}; return l, &l.logOS }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			inner, log := tc.mk()
+			c := NewCoalescer(inner, &CoalescerSeed{
+				Nices:      map[int]int{11: -5, 12: 0},
+				Shares:     map[string]int{"g1": 512},
+				Placements: map[int]string{11: "g1", 12: "g1"},
+			})
+
+			// Steady state: every op matches the mirror.
+			c.Begin()
+			_ = c.EnsureCgroup("g1")
+			_ = c.SetShares("g1", 512)
+			_ = c.MoveThread(11, "g1")
+			_ = c.SetNice(11, -5)
+			if got := c.Suppressed(); got != 4 {
+				t.Errorf("suppressed before Flush = %d, want 4 (suppression happens as ops arrive)", got)
+			}
+			if !c.buf.empty() {
+				t.Errorf("matching ops were buffered: %+v", c.buf)
+			}
+			if err := c.Flush(); err != nil {
+				t.Fatal(err)
+			}
+
+			// Away from the mirror and back within one batch: the second op
+			// must be buffered over the first, and Flush drops the pair.
+			c.Begin()
+			_ = c.SetNice(11, 3)
+			_ = c.SetNice(11, -5)
+			_ = c.SetShares("g1", 64)
+			_ = c.SetShares("g1", 512)
+			_ = c.MoveThread(12, "g2")
+			_ = c.MoveThread(12, "g1")
+			if err := c.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			if len(log.ops) != 0 {
+				t.Errorf("away-and-back batch wrote %q, want nothing", log.ops)
+			}
+			if got := c.Suppressed(); got != 7 {
+				t.Errorf("suppressed = %d, want 7 (one per knob of the away-and-back batch)", got)
+			}
+
+			// A repaired knob is dirty: the same value passes once.
+			c.InvalidateThread(11)
+			c.Begin()
+			_ = c.SetNice(11, -5)
+			_ = c.SetNice(12, 0)
+			if err := c.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			if want := []string{"nice 11 -5"}; !reflect.DeepEqual(log.ops, want) {
+				t.Errorf("dirty knob batch ops = %q, want %q", log.ops, want)
+			}
+
+			// A suppressed move does not disturb the batch's tail: updates,
+			// then removals, then restores.
+			log.ops = nil
+			c.Begin()
+			_ = c.RestoreThread(12)
+			_ = c.RemoveCgroup("old")
+			_ = c.MoveThread(12, "g1") // matches the mirror
+			_ = c.SetNice(12, 4)
+			if err := c.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			if want := []string{"nice 12 4", "remove old", "restore 12"}; !reflect.DeepEqual(log.ops, want) {
+				t.Errorf("tail order = %q, want %q", log.ops, want)
+			}
+		})
+	}
+}
+
 // TestCoalescerFlushErrors: non-vanished errors from flushed ops surface
 // joined from Flush; vanished entities are benign skips (translator
 // semantics), and the failed knob stays out of the mirror so the next

@@ -6,8 +6,8 @@ import (
 )
 
 // This file holds the decision cycle's allocation machinery: the
-// persistent phase worker pools and the per-middleware / per-binding
-// scratch buffers that make a steady-state Step allocation-free.
+// persistent worker pool and the per-middleware / per-binding scratch
+// buffers that make a steady-state Step allocation-free.
 //
 // The rule all of it follows: anything the cycle needs every period is
 // allocated once (at Bind time or on the first Step that needs it) and
@@ -20,8 +20,8 @@ import (
 
 // indexPool is a persistent worker pool running fn(i) for i in [0, n).
 // Unlike the spawn-per-cycle pattern it replaces, the pool's goroutines
-// and job channel are allocated once and live until Close, so a cycle's
-// fetch and apply phases cost channel handoffs, not goroutine creation.
+// and job channel are allocated once and live until Close, so a cycle
+// costs channel handoffs, not goroutine creation.
 //
 // A pool runs one batch at a time (run returns only when every index has
 // been processed); the middleware calls it from the single stepping
@@ -32,8 +32,6 @@ type indexPool struct {
 	jobs    chan int
 	wg      sync.WaitGroup
 	fn      func(int)
-	n       int
-	chunk   int
 	workers int
 	closed  bool
 }
@@ -47,33 +45,21 @@ func (p *indexPool) ensure(w int) {
 	for p.workers < w {
 		p.workers++
 		go func() {
-			for start := range p.jobs {
-				end := start + p.chunk
-				if end > p.n {
-					end = p.n
-				}
-				for i := start; i < end; i++ {
-					p.fn(i)
-				}
+			for i := range p.jobs {
+				p.fn(i)
 				p.wg.Done()
 			}
 		}()
 	}
 }
 
-// run executes fn(0..n-1) on up to workers goroutines, dispatching
-// chunk indices per job (chunk <= 1 means one index per job). It
-// returns when all n calls have completed. workers <= 1 (or n <= 1)
-// runs inline with no handoffs at all.
-func (p *indexPool) run(workers, n, chunk int, fn func(int)) {
-	if n <= 0 {
-		return
-	}
-	if chunk < 1 {
-		chunk = 1
-	}
-	if workers > (n+chunk-1)/chunk {
-		workers = (n + chunk - 1) / chunk
+// run executes fn(0..n-1) on up to workers goroutines, one index per job,
+// handed out in index order. It returns when all n calls have completed.
+// workers <= 1 (or n <= 1, or a closed pool) runs inline, in index order,
+// with no handoffs at all.
+func (p *indexPool) run(workers, n int, fn func(int)) {
+	if workers > n {
+		workers = n
 	}
 	if workers <= 1 || p.closed {
 		for i := 0; i < n; i++ {
@@ -83,11 +69,9 @@ func (p *indexPool) run(workers, n, chunk int, fn func(int)) {
 	}
 	p.ensure(workers)
 	p.fn = fn
-	p.n = n
-	p.chunk = chunk
-	for start := 0; start < n; start += chunk {
-		p.wg.Add(1)
-		p.jobs <- start
+	p.wg.Add(n)
+	for i := 0; i < n; i++ {
+		p.jobs <- i
 	}
 	p.wg.Wait()
 	p.fn = nil
@@ -102,31 +86,26 @@ func (p *indexPool) close() {
 	}
 }
 
-// stepScratch is the per-middleware cycle scratch: every slice and map a
-// Step needs, allocated on first use and reused for the middleware's
-// lifetime. All fields are owned by the stepping goroutine except the
-// ones the phase workers index into (results, outcomes), which are
-// pre-sized before the workers start.
+// stepScratch is the per-middleware cycle scratch: every slice a Step
+// needs, allocated on first use and reused for the middleware's lifetime.
+// All of it is written by the stepping goroutine before the pool is
+// dispatched and only read while workers run; what workers produce lands
+// in the driverState and boundPolicy they own for the cycle.
 type stepScratch struct {
 	due      []*boundPolicy
 	runnable []*boundPolicy
-	toRun    []*boundPolicy
+	// drivers are the cycle's distinct drivers, in first-use order over
+	// runnable: job i of the pool fetches drivers[i].
+	drivers []*driverState
 
-	// fetch phase
-	drivers    []Driver
-	driverSeen map[string]bool
-	results    []fetchOut
-	values     Values
-	unavail    map[string]error
-
-	// apply phase
-	outcomes []bindingOutcome
-	blocked  []error
-
-	// per-cycle state the pooled phase jobs read (set before dispatch,
-	// stable while workers run)
-	now           time.Duration
-	applyParallel bool
+	// cycle stamps the bindings and drivers taking part in this cycle
+	// (boundPolicy.cycle, driverState.cycle); now is the cycle's step time.
+	cycle uint64
+	now   time.Duration
+	// ordered selects binding-order runs (runInOrder); next is then the
+	// first runnable binding yet to run, guarded by Middleware.applyMu.
+	ordered bool
+	next    int
 
 	// reused StepStats backing arrays (see StepStats doc: entries are
 	// valid until the next Step on the same Middleware)
@@ -134,8 +113,8 @@ type stepScratch struct {
 	driverStats  []DriverStepStats
 }
 
-// Close releases the middleware's persistent phase worker goroutines.
-// Stepping after Close stays correct (phases fall back to inline
+// Close releases the middleware's persistent worker goroutines.
+// Stepping after Close stays correct (the cycle falls back to inline
 // execution); Close is for callers that create many short-lived
 // middlewares and do not want parked pool goroutines outliving them.
 // It is safe to call multiple times, and safe to never call — the pool
@@ -144,22 +123,13 @@ func (m *Middleware) Close() {
 	m.pool.close()
 }
 
-// phasePool returns the middleware's persistent worker pool, creating it
+// workerPool returns the middleware's persistent worker pool, creating it
 // on first use.
-func (m *Middleware) phasePool() *indexPool {
+func (m *Middleware) workerPool() *indexPool {
 	if m.pool == nil {
 		m.pool = newIndexPool()
 	}
 	return m.pool
-}
-
-// fetchJobFn/applyJobFn are the pool job functions, bound once so
-// dispatching a phase does not allocate a closure per cycle.
-func (m *Middleware) bindPhaseJobs() {
-	if m.fetchFn == nil {
-		m.fetchFn = m.fetchJob
-		m.applyFn = m.applyJob
-	}
 }
 
 // resetViewScratch prepares a binding's reusable view maps for one

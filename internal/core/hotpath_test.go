@@ -73,7 +73,7 @@ func benchMiddleware(tb testing.TB, n, entsPer int) (*Middleware, *nopOS) {
 	os := &nopOS{}
 	mw := NewMiddleware(nil)
 	mw.SetWriteGate(NewDriverGate())
-	mw.SetParallelism(Parallelism{FetchWorkers: 8, ApplyWorkers: 4})
+	mw.SetParallelism(Parallelism{FetchWorkers: 8})
 	for i := 0; i < n; i++ {
 		d := newBenchDriver("spe"+strconv.Itoa(i), 1000+i*entsPer, entsPer)
 		if err := mw.Bind(Binding{

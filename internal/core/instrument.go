@@ -147,12 +147,16 @@ func (m *Middleware) auditRecord(e AuditEvent) {
 // func keeps the audit-off hot path from allocating a closure per apply.
 var auditNoop = func() {}
 
-// auditApplyCtx brackets one translator apply with the audit binding
-// context; the returned func must be called when the apply finishes.
+// auditApplyCtx brackets one translator apply with the binding's audit
+// context; the returned func must be called when the apply finishes. A
+// binding's applies never nest, so one context per binding suffices.
 func (m *Middleware) auditApplyCtx(now time.Duration, bp *boundPolicy, entities map[string]Entity) func() {
 	if m.audit == nil {
 		return auditNoop
 	}
-	tok := m.audit.beginApply(now, bp.policyName, bp.translatorName, entities)
-	return func() { m.audit.endApply(tok) }
+	if bp.auditCtx == nil || bp.auditCtx.trail != m.audit {
+		bp.auditCtx = newAuditCtx(m.audit, bp.policyName, bp.translatorName)
+	}
+	m.audit.beginApply(bp.auditCtx, now, entities)
+	return bp.auditCtx.end
 }

@@ -42,10 +42,10 @@ import (
 
 // memoHit reports whether every driver input of bp is unchanged since the
 // stored snapshot. Caller has checked bp.Memoize && bp.memoValid.
-func (m *Middleware) memoHit(bp *boundPolicy, values Values) bool {
-	for _, d := range bp.Drivers {
-		name := d.Name()
-		dv := values[name]
+func (m *Middleware) memoHit(bp *boundPolicy) bool {
+	for i, d := range bp.Drivers {
+		name := bp.names[i]
+		dv := bp.states[i].vals
 		sv := bp.memoVals[name]
 		if dv == nil || len(dv) != len(sv) {
 			return false
@@ -64,14 +64,14 @@ func (m *Middleware) memoHit(bp *boundPolicy, values Values) bool {
 
 // memoStore snapshots bp's inputs after a successful apply. entities is
 // the applied view's entity count, replayed into stats on later hits.
-func (m *Middleware) memoStore(bp *boundPolicy, values Values, entities int) {
+func (m *Middleware) memoStore(bp *boundPolicy, entities int) {
 	if bp.memoVals == nil {
 		bp.memoVals = make(map[string]map[string]EntityValues, len(bp.Drivers))
 		bp.memoEnts = make(map[string][]Entity, len(bp.Drivers))
 	}
-	for _, d := range bp.Drivers {
-		name := d.Name()
-		dv := values[name]
+	for i, d := range bp.Drivers {
+		name := bp.names[i]
+		dv := bp.states[i].vals
 		if dv == nil {
 			// A driver contributed nothing this cycle (e.g. it was the
 			// stale one of a multi-driver binding); without a complete

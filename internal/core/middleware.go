@@ -217,7 +217,7 @@ type Middleware struct {
 	watchdog StepWatchdog
 	// spans, when set, records a causal trace of every cycle (see
 	// spans.go). cycleCtx is the current cycle span's propagation context:
-	// written on the stepping goroutine before the phase workers spawn and
+	// written on the stepping goroutine before the pool workers start and
 	// only read while they run.
 	spans    *span.Recorder
 	cycleCtx span.Context
@@ -238,13 +238,15 @@ type Middleware struct {
 	// replace it.
 	nowFn func() time.Time
 
-	// Hot-path machinery (hotpath.go): persistent phase worker pool,
-	// per-cycle scratch buffers, and the pool job functions bound once so
-	// dispatching a phase never allocates a closure.
+	// Hot-path machinery (hotpath.go): persistent worker pool, per-cycle
+	// scratch buffers, and the pool job function bound once so dispatching
+	// a cycle never allocates a closure.
 	pool    *indexPool
 	scratch stepScratch
-	fetchFn func(int)
-	applyFn func(int)
+	cycleFn func(int)
+	// applyMu serializes binding-order runs (runInOrder): every run when
+	// no DriverGate is installed.
+	applyMu sync.Mutex
 	// labelTaken caches the set of assigned binding labels, making Bind's
 	// collision dedup O(1) amortized instead of a scan over all bindings
 	// (which is quadratic when binding thousands of policies).
@@ -265,12 +267,22 @@ type boundPolicy struct {
 	translatorName string
 	// names caches the binding's driver names for the gate lock set.
 	names []string
+	// states[i] is the tracked state of Drivers[i], where this cycle's
+	// values for that driver land; ndeps counts the distinct ones.
+	states []*driverState
+	ndeps  int32
+	// Per-cycle pipeline state (parallel.go): cycle stamps the last cycle
+	// the binding was runnable in, pending counts its drivers still to
+	// answer, outcome is what the worker that ran it reports to the fold.
+	cycle   uint64
+	pending atomic.Int32
+	outcome bindingOutcome
 	// inPlace is non-nil when the policy supports allocation-free
 	// in-place scheduling (see InPlaceScheduler in hotpath.go).
 	inPlace InPlaceScheduler
 	// execMu serializes bindings sharing a stateful Policy or Translator
-	// instance in the parallel apply pool; bindings with private
-	// instances each get their own (uncontended) mutex.
+	// instance across pool workers; bindings with private instances each
+	// get their own (uncontended) mutex.
 	execMu *sync.Mutex
 
 	// Reusable per-binding cycle scratch (hotpath.go): the view's entity
@@ -282,6 +294,9 @@ type boundPolicy struct {
 	sched        Schedule
 	lockGate     *DriverGate
 	lockSet      *DriverLockSet
+	// auditCtx is the binding's audit apply context, re-armed per apply
+	// (see auditApplyCtx).
+	auditCtx *auditCtx
 
 	// Circuit-breaker state.
 	fails     int           // consecutive failures
@@ -313,8 +328,29 @@ type boundPolicy struct {
 	ctrQuarantined *telemetry.Counter
 }
 
-// driverState tracks one driver's fetch health and last good values.
+// driverState tracks one driver's fetch health and last good values, and
+// carries the driver's slots in the decision cycle. Within a cycle it is
+// owned by the worker fetching the driver until that worker's decrement of
+// a dependent's pending count publishes it; between cycles, by the
+// stepping goroutine.
 type driverState struct {
+	name string
+	// dependents are the bindings naming this driver, in bind order
+	// (appended by Bind).
+	dependents []*boundPolicy
+
+	// Cycle slots (parallel.go): cycle stamps the last cycle that fetched
+	// the driver, d is the instance fetched, vals is what the driver's
+	// bindings read this cycle — fresh values, last-good ones, or nil when
+	// the driver is unusable — and stat is its StepStats entry.
+	cycle uint64
+	d     Driver
+	vals  map[string]EntityValues
+	stat  DriverStepStats
+	// audited stamps the cycle whose failure event was recorded (by the
+	// first dependent to run, under its locks).
+	audited uint64
+
 	fails       int
 	lastSuccess time.Duration
 	haveSuccess bool
@@ -344,6 +380,7 @@ func NewMiddleware(provider *Provider) *Middleware {
 		tel:      telemetry.NewRegistry(),
 		nowFn:    time.Now,
 	}
+	m.cycleFn = m.cycleJob
 	m.resolveInstruments()
 	return m
 }
@@ -393,8 +430,7 @@ func (m *Middleware) Bind(b Binding) error {
 	}
 	// Bindings reusing a Policy or Translator instance (which may hold
 	// unsynchronized state: rngs, previous-group maps) share one
-	// execution mutex so the parallel apply pool never runs them
-	// concurrently.
+	// execution mutex so pool workers never run them concurrently.
 	for _, other := range m.bindings {
 		if sameInstance(other.Policy, b.Policy) || sameInstance(other.Translator, b.Translator) {
 			bp.execMu = other.execMu
@@ -412,8 +448,15 @@ func (m *Middleware) Bind(b Binding) error {
 		}
 	}
 	m.bindings = append(m.bindings, bp)
-	for _, d := range b.Drivers {
-		m.driverState(d.Name())
+	bp.states = make([]*driverState, len(b.Drivers))
+	for i, name := range bp.names {
+		ds := m.driverState(name)
+		bp.states[i] = ds
+		// A binding naming a driver twice depends on it once.
+		if n := len(ds.dependents); n == 0 || ds.dependents[n-1] != bp {
+			ds.dependents = append(ds.dependents, bp)
+			bp.ndeps++
+		}
 	}
 	return nil
 }
@@ -444,7 +487,7 @@ func (m *Middleware) bindingLabel(base string) string {
 func (m *Middleware) driverState(name string) *driverState {
 	ds := m.drivers[name]
 	if ds == nil {
-		ds = &driverState{}
+		ds = &driverState{name: name}
 		ds.resolve(m.tel, name)
 		m.drivers[name] = ds
 	}
@@ -504,7 +547,7 @@ type BindingStepStats struct {
 // middleware's (small) CPU footprint and attribute it per phase.
 //
 // Per-binding entries appear in Bindings in binding order (regardless of
-// which apply worker finished first), keyed by BindingStepStats.Label.
+// which worker finished first), keyed by BindingStepStats.Label.
 // Labels are the plain "policy/translator" name and are only suffixed
 // with "#N" when two bindings would otherwise collide — a unique binding
 // never carries a dedup suffix.
@@ -614,7 +657,10 @@ func (m *Middleware) stepStrict(now time.Duration, due []*boundPolicy, stats *St
 		return []error{err}
 	}
 	for _, bp := range due {
-		view := m.buildView(now, bp, values)
+		for _, ds := range bp.states {
+			ds.vals = values[ds.name]
+		}
+		view := m.buildView(now, bp)
 		stats.PoliciesRun++
 		stats.Entities += len(view.Entities)
 		bst := BindingStepStats{
@@ -662,41 +708,6 @@ func (m *Middleware) stepStrict(now time.Duration, due []*boundPolicy, stats *St
 		stats.Bindings = append(stats.Bindings, bst)
 		m.ins.policyRuns.Inc()
 	}
-	return errs
-}
-
-// stepResilient is the hardened cycle, structured as the parallel
-// pipeline: breaker gating, then the concurrent per-driver fetch phase
-// (per-driver updates with last-good fallback), then the per-binding
-// apply phase (policy evaluation + translator apply, concurrent across
-// bindings when a write gate is installed), with panic isolation
-// throughout. See parallel.go for the phase implementations.
-func (m *Middleware) stepResilient(now time.Duration, due []*boundPolicy, stats *StepStats) []error {
-	var errs []error
-	// Run breaker gating first so quarantined-only drivers are not
-	// scraped.
-	runnable := m.scratch.runnable[:0]
-	for _, bp := range due {
-		if bp.open && now < bp.openUntil {
-			stats.Quarantined++
-			bp.ctrQuarantined.Inc()
-			stats.Bindings = append(stats.Bindings, BindingStepStats{
-				Label:  bp.label,
-				Policy: bp.policyName, Translator: bp.translatorName, Quarantined: true,
-			})
-			m.auditRecord(AuditEvent{
-				At: now, Kind: AuditKindQuarantine,
-				Policy: bp.policyName, Translator: bp.translatorName,
-				Outcome: fmt.Sprintf("open until %v", bp.openUntil),
-			})
-			continue
-		}
-		runnable = append(runnable, bp)
-	}
-	m.scratch.runnable = runnable
-
-	values, unavailable := m.fetchPhase(now, runnable, stats, &errs)
-	m.applyPhase(now, runnable, values, unavailable, stats, &errs)
 	return errs
 }
 
@@ -889,42 +900,23 @@ func distinctDrivers(bps []*boundPolicy) []Driver {
 	return out
 }
 
-// distinctDriversScratch is distinctDrivers over the middleware's reused
-// scratch buffers: the returned slice is valid until the next cycle.
-func (m *Middleware) distinctDriversScratch(bps []*boundPolicy) []Driver {
-	sc := &m.scratch
-	if sc.driverSeen == nil {
-		sc.driverSeen = make(map[string]bool)
-	}
-	clear(sc.driverSeen)
-	sc.drivers = sc.drivers[:0]
-	for _, bp := range bps {
-		for _, d := range bp.Drivers {
-			if !sc.driverSeen[d.Name()] {
-				sc.driverSeen[d.Name()] = true
-				sc.drivers = append(sc.drivers, d)
-			}
-		}
-	}
-	return sc.drivers
-}
-
 // buildView assembles the policy's view: entities of its drivers (filtered
-// by query scope) and the merged metric values. Drivers absent from values
-// (unavailable this cycle) contribute neither entities nor metrics — their
-// operators are quarantined until the driver recovers.
+// by query scope) and the merged metric values, read from the drivers'
+// cycle slots. Drivers without values (unavailable this cycle) contribute
+// neither entities nor metrics — their operators are quarantined until the
+// driver recovers.
 //
 // The view and its maps are binding-owned scratch, cleared and refilled in
 // place each cycle — with a stable entity set, a steady-state build does
 // not touch the allocator. The returned *View is valid until the binding's
 // next run; nothing downstream retains it (lastEntities is a copy).
-func (m *Middleware) buildView(now time.Duration, bp *boundPolicy, values Values) *View {
+func (m *Middleware) buildView(now time.Duration, bp *boundPolicy) *View {
 	bp.resetViewScratch()
 	entities := bp.viewEntities
 	merged := bp.viewMerged
-	for _, d := range bp.Drivers {
-		vals, ok := values[d.Name()]
-		if !ok {
+	for i, d := range bp.Drivers {
+		vals := bp.states[i].vals
+		if vals == nil {
 			continue
 		}
 		for _, ent := range d.Entities() {

@@ -15,57 +15,54 @@ import (
 // lock keeps the abandoned fetch from racing the next cycle's.
 var ErrFetchTimeout = errors.New("core: metric fetch timeout")
 
-// Default worker-pool sizes. Fetches are IO-bound on a real deployment
-// (each is a monitoring-API round trip), so the pool is wider than any
-// sensible core count; applies are syscall-bound, where eight in flight
-// saturates the control path long before it saturates a machine.
-const (
-	DefaultFetchWorkers = 8
-	DefaultApplyWorkers = 8
-)
+// DefaultFetchWorkers is the default width of the decision cycle's worker
+// pool. A cycle's waits are its fetches — each a monitoring-API round trip
+// on a real deployment — so the pool is wider than any sensible core count;
+// the applies that follow a fetch on the same worker are short and
+// syscall-bound.
+const DefaultFetchWorkers = 8
 
-// Parallelism configures the decision cycle's parallel pipeline: a
-// bounded worker pool for per-driver metric fetches (with an optional
-// per-driver timeout) and a bounded pool for per-binding policy
-// evaluation + translator applies.
+// Parallelism configures the decision cycle's worker pool. A cycle is one
+// dependency-driven pass (see stepResilient): each pool job fetches one
+// driver, and a binding runs — schedule, translate, apply — on the worker
+// that saw its last driver answer, with no barrier between the cycle's
+// fetches and its applies.
 //
-// Parallel fetch engages whenever more than one driver is due. Parallel
-// apply additionally requires a DriverGate (SetWriteGate): without
-// per-driver write locks the middleware cannot order semantically
-// conflicting writes, so it falls back to sequential applies rather than
-// guess. Either way the observable outcome of a step — schedules chosen,
-// control ops issued, stats order — is the same as the sequential path;
-// only wall-clock time and event interleaving differ.
+// With a DriverGate installed (SetWriteGate) and more than one worker,
+// bindings over disjoint drivers run concurrently, in the order their
+// fetches complete, and none waits for a driver it does not read.
+// StepStats order, Health and the kernel state reached are those of one
+// worker; a Policy or Translator instance shared across drivers sees its
+// calls, and the audit trail its per-binding events, in completion order.
+//
+// Without a gate the middleware cannot tell which writes conflict, so
+// bindings run one at a time and in binding order, each as soon as it and
+// every binding bound before it is ready. Fetches still overlap, and the
+// order of Schedule calls, audit events and writes is the same for every
+// pool width.
 type Parallelism struct {
-	// Disabled reverts the whole cycle to the sequential legacy path
-	// (the baseline the scale experiment measures against).
+	// Disabled runs the whole cycle inline on the stepping goroutine, in
+	// driver order, with no fetch timeout (the baseline the scale
+	// experiment measures against).
 	Disabled bool
-	// FetchWorkers bounds concurrent driver fetches (default
-	// DefaultFetchWorkers).
+	// FetchWorkers is the pool width: how many drivers may be in flight —
+	// fetching, or running the bindings their fetch released — at once
+	// (default DefaultFetchWorkers).
 	FetchWorkers int
 	// FetchTimeout abandons a driver fetch that takes longer (0 = no
 	// timeout). An abandoned driver counts as failed this cycle and its
 	// bindings fall back to last-good values within the staleness bound.
 	FetchTimeout time.Duration
-	// ApplyWorkers bounds concurrent binding applies (default
-	// DefaultApplyWorkers).
-	ApplyWorkers int
 }
 
 // DefaultParallelism returns the default pipeline configuration.
 func DefaultParallelism() Parallelism {
-	return Parallelism{FetchWorkers: DefaultFetchWorkers, ApplyWorkers: DefaultApplyWorkers}
+	return Parallelism{FetchWorkers: DefaultFetchWorkers}
 }
 
 func (p Parallelism) withDefaults() Parallelism {
-	if p.Disabled {
-		return p
-	}
-	if p.FetchWorkers <= 0 {
+	if !p.Disabled && p.FetchWorkers <= 0 {
 		p.FetchWorkers = DefaultFetchWorkers
-	}
-	if p.ApplyWorkers <= 0 {
-		p.ApplyWorkers = DefaultApplyWorkers
 	}
 	return p
 }
@@ -78,12 +75,13 @@ func (m *Middleware) SetParallelism(p Parallelism) { m.par = p.withDefaults() }
 // ParallelismConfig returns the active pipeline configuration.
 func (m *Middleware) ParallelismConfig() Parallelism { return m.par }
 
-// SetWriteGate installs the per-driver write gate that makes parallel
-// binding applies safe: each apply worker locks its binding's drivers, so
-// bindings over disjoint SPEs proceed concurrently while bindings sharing
-// a driver — and therefore possibly threads and cgroups — serialize.
-// Whole-chain writers (the reconciler, shutdown resets) use
-// gate.ExclusiveOS. nil removes the gate and disables parallel applies.
+// SetWriteGate installs the per-driver write gate that makes concurrent
+// binding applies safe: the worker running a binding locks its drivers, so
+// bindings over disjoint SPEs proceed concurrently — in fetch-completion
+// order, not binding order — while bindings sharing a driver — and
+// therefore possibly threads and cgroups — serialize. Whole-chain writers
+// (the reconciler, shutdown resets) use gate.ExclusiveOS. nil removes the
+// gate; bindings then run one at a time, in binding order.
 func (m *Middleware) SetWriteGate(g *DriverGate) { m.gate = g }
 
 // WriteGate returns the installed per-driver write gate (nil when apply
@@ -101,7 +99,6 @@ func sameInstance(a, b any) (eq bool) {
 	}()
 	return a == b
 }
-
 
 // fetchOut is one driver's raw fetch result before bookkeeping.
 type fetchOut struct {
@@ -140,215 +137,246 @@ func (m *Middleware) fetchOne(now time.Duration, d Driver) (map[string]EntityVal
 	}
 }
 
-// fetchPhase updates every distinct driver of the runnable bindings —
-// concurrently through the bounded worker pool unless parallelism is
-// disabled or there is only one driver — then folds the results into
-// driver state, telemetry, and stats in deterministic driver order.
-// It returns the merged values and the set of drivers unusable this cycle.
-func (m *Middleware) fetchPhase(now time.Duration, runnable []*boundPolicy, stats *StepStats, errs *[]error) (Values, map[string]error) {
+// stepResilient is the hardened cycle: breaker gating, then one
+// dependency-driven pass over the worker pool. A pool job fetches one
+// driver and settles that driver's state (last-good fallback,
+// availability); every runnable binding counts its outstanding drivers in
+// a per-cycle atomic, and the worker that drops a binding's count to zero
+// runs it on the spot, under the binding's driver locks. No binding waits
+// for a driver it does not read.
+//
+// Workers write only what they own for the cycle: the fetched driver's
+// state and the binding's own state, its outcome included. What
+// observers read in a fixed order — StepStats.Drivers and Bindings, the
+// error list — is folded from those slots here, on the stepping
+// goroutine, after the pool drains: driver order, then binding order,
+// whichever worker finished first.
+//
+// The sequential configurations (Parallelism.Disabled, one worker, a
+// closed pool) run the same job inline in driver order. Bindings run in
+// completion order only where applies may be concurrent (a gate and more
+// than one worker); everywhere else they run in binding order (see
+// runInOrder).
+func (m *Middleware) stepResilient(now time.Duration, due []*boundPolicy, stats *StepStats) []error {
 	sc := &m.scratch
-	drivers := m.distinctDriversScratch(runnable)
-	if cap(sc.results) < len(drivers) {
-		sc.results = make([]fetchOut, len(drivers))
-	}
-	results := sc.results[:len(drivers)]
-
-	workers := m.par.FetchWorkers
-	if workers > len(drivers) {
-		workers = len(drivers)
-	}
-	if m.par.Disabled || workers <= 1 {
-		for i, d := range drivers {
-			results[i] = m.tracedFetch(now, d)
-		}
-	} else {
-		// Fetches are latency-bound round trips: dispatch one driver per
-		// job so a slow driver never serializes behind a fast one in the
-		// same chunk.
-		sc.now = now
-		m.bindPhaseJobs()
-		m.phasePool().run(workers, len(drivers), 1, m.fetchFn)
-	}
-
-	// Bookkeeping stays on the stepping goroutine, in driver order, so
-	// stats, health state, and audit events are deterministic regardless
-	// of fetch completion order.
-	if sc.values == nil {
-		sc.values = make(Values)
-		sc.unavail = make(map[string]error)
-	}
-	clear(sc.values)
-	clear(sc.unavail)
-	values := sc.values
-	unavailable := sc.unavail
-	for i, d := range drivers {
-		name := d.Name()
-		ds := m.driverState(name)
-		r := results[i]
-		dst := DriverStepStats{Driver: name, Fetch: r.took}
-		ds.hFetch.Observe(r.took)
-		if r.err == nil {
-			ds.fails = 0
-			ds.lastErr = nil
-			ds.stale = false
-			ds.lastSuccess = now
-			ds.haveSuccess = true
-			ds.lastGood = r.vals
-			ds.lastGoodAt = now
-			values[name] = r.vals
-			stats.Drivers = append(stats.Drivers, dst)
+	sc.cycle++
+	sc.now = now
+	runnable := sc.runnable[:0]
+	sc.drivers = sc.drivers[:0]
+	for _, bp := range due {
+		// Breaker gating first, so quarantined-only drivers are not
+		// scraped.
+		if bp.open && now < bp.openUntil {
+			stats.Quarantined++
+			bp.ctrQuarantined.Inc()
+			stats.Bindings = append(stats.Bindings, BindingStepStats{
+				Label:  bp.label,
+				Policy: bp.policyName, Translator: bp.translatorName, Quarantined: true,
+			})
+			m.auditRecord(AuditEvent{
+				At: now, Kind: AuditKindQuarantine,
+				Policy: bp.policyName, Translator: bp.translatorName,
+				Outcome: fmt.Sprintf("open until %v", bp.openUntil),
+			})
 			continue
 		}
-		ds.fails++
-		ds.lastErr = r.err
-		ds.ctrFailures.Inc()
-		dst.Err = r.err.Error()
-		*errs = append(*errs, fmt.Errorf("driver %s: %w", name, r.err))
-		if ds.lastGood != nil && now-ds.lastGoodAt <= m.res.StalenessBound {
-			// Last-good fallback: schedule on slightly stale metrics
-			// rather than not at all.
-			ds.stale = true
-			ds.ctrStale.Inc()
-			dst.Stale = true
-			values[name] = ds.lastGood
-			m.auditRecord(AuditEvent{
-				At: now, Kind: AuditKindDriver, Driver: name,
-				Outcome: "stale-fallback: " + r.err.Error(),
-			})
-		} else {
-			ds.stale = false
-			unavailable[name] = r.err
-			m.auditRecord(AuditEvent{
-				At: now, Kind: AuditKindDriver, Driver: name, Outcome: r.err.Error(),
-			})
+		bp.cycle = sc.cycle
+		bp.pending.Store(bp.ndeps)
+		runnable = append(runnable, bp)
+		for i, ds := range bp.states {
+			if ds.cycle != sc.cycle {
+				// First runnable binding naming this driver: its instance
+				// is the one fetched.
+				ds.cycle = sc.cycle
+				ds.d = bp.Drivers[i]
+				sc.drivers = append(sc.drivers, ds)
+			}
 		}
-		stats.Drivers = append(stats.Drivers, dst)
 	}
-	return values, unavailable
+	sc.runnable = runnable
+
+	// One driver per job: fetches are latency-bound round trips, and a
+	// slow driver must never hold up another queued behind it.
+	workers := m.par.FetchWorkers
+	if m.par.Disabled {
+		workers = 1
+	}
+	sc.ordered = m.gate == nil || workers <= 1
+	sc.next = 0
+	m.workerPool().run(workers, len(sc.drivers), m.cycleFn)
+
+	var errs []error
+	for _, ds := range sc.drivers {
+		stats.Drivers = append(stats.Drivers, ds.stat)
+		if ds.lastErr == nil {
+			continue
+		}
+		errs = append(errs, fmt.Errorf("driver %s: %w", ds.name, ds.lastErr))
+	}
+	for _, bp := range runnable {
+		out := &bp.outcome
+		if !out.ran {
+			continue // no usable driver: the binding did not run this period
+		}
+		if out.bst.Memoized {
+			stats.Memoized++
+		} else {
+			stats.PoliciesRun++
+		}
+		stats.Entities += out.entities
+		stats.Bindings = append(stats.Bindings, out.bst)
+		errs = append(errs, out.errs...)
+	}
+	return errs
 }
 
-// fetchJob is the fetch phase's pool job: update driver i of the cycle's
-// distinct-driver scratch. Bound once as m.fetchFn (see bindPhaseJobs).
-func (m *Middleware) fetchJob(i int) {
-	m.scratch.results[i] = m.tracedFetch(m.scratch.now, m.scratch.drivers[i])
-}
-
-// applyJob is the apply phase's pool job: run binding i of the cycle's
-// toRun scratch under its driver locks. Bound once as m.applyFn.
-func (m *Middleware) applyJob(i int) {
+// cycleJob is the cycle's one pool job, bound once as m.cycleFn: fetch
+// driver i of the cycle, then run every runnable binding for which this
+// was the last driver outstanding. The atomic decrement orders each
+// earlier worker's driver-state writes before the run that reads them.
+func (m *Middleware) cycleJob(i int) {
 	sc := &m.scratch
-	bp := sc.toRun[i]
+	ds := sc.drivers[i]
+	m.fetchDriver(sc.now, ds)
+	ready := false
+	for _, bp := range ds.dependents {
+		if bp.cycle == sc.cycle && bp.pending.Add(-1) == 0 {
+			if sc.ordered {
+				ready = true
+			} else {
+				m.runReady(sc.now, bp)
+			}
+		}
+	}
+	if ready {
+		m.runInOrder()
+	}
+}
+
+// runInOrder is how bindings run wherever applies cannot be concurrent —
+// no DriverGate installed, or a single worker: one at a time and in
+// binding order, so a Policy or Translator instance shared by several
+// bindings sees the same call sequence, and the audit trail the same
+// event sequence, whatever the pool width. The worker that completed a
+// binding's last fetch runs the ready prefix of the runnable list; a ready
+// binding behind an unready one is left to the worker that readies the
+// latter (every binding is behind only bindings that will be readied, so
+// the worker finishing the cycle's last fetch drains the list). Fetches
+// still overlap each other and the applies; what this order gives up is
+// that a binding waits for slower drivers of bindings bound before it.
+func (m *Middleware) runInOrder() {
+	sc := &m.scratch
+	m.applyMu.Lock()
+	defer m.applyMu.Unlock()
+	for sc.next < len(sc.runnable) && sc.runnable[sc.next].pending.Load() == 0 {
+		m.runReady(sc.now, sc.runnable[sc.next])
+		sc.next++
+	}
+}
+
+// fetchDriver updates one driver through the provider and settles its
+// state for the cycle: health counters, last-good values, and ds.vals —
+// what the driver's bindings read this cycle (nil when the driver is
+// unusable).
+func (m *Middleware) fetchDriver(now time.Duration, ds *driverState) {
+	r := m.tracedFetch(now, ds.d)
+	ds.hFetch.Observe(r.took)
+	ds.stat = DriverStepStats{Driver: ds.name, Fetch: r.took}
+	if r.err == nil {
+		ds.fails = 0
+		ds.lastErr = nil
+		ds.stale = false
+		ds.lastSuccess = now
+		ds.haveSuccess = true
+		ds.lastGood = r.vals
+		ds.lastGoodAt = now
+		ds.vals = r.vals
+		return
+	}
+	ds.fails++
+	ds.lastErr = r.err
+	ds.ctrFailures.Inc()
+	ds.stat.Err = r.err.Error()
+	// Last-good fallback: schedule on slightly stale metrics rather than
+	// not at all.
+	ds.stale = ds.lastGood != nil && now-ds.lastGoodAt <= m.res.StalenessBound
+	ds.stat.Stale = ds.stale
+	if ds.stale {
+		ds.ctrStale.Inc()
+		ds.vals = ds.lastGood
+	} else {
+		ds.vals = nil
+	}
+}
+
+// runReady runs one binding whose drivers have all answered and files the
+// result in bp.outcome. It holds the binding's driver locks — with no gate
+// installed the caller holds the middleware-wide apply mutex instead (see
+// runInOrder) — and the execution mutex the binding shares with any
+// binding reusing its (possibly stateful) Policy or Translator instance.
+func (m *Middleware) runReady(now time.Duration, bp *boundPolicy) {
 	if m.gate != nil {
 		ls := bp.lockSetFor(m.gate)
 		ls.Lock()
 		defer ls.Unlock()
 	}
-	if sc.applyParallel && bp.execMu != nil {
-		// Bindings sharing a Policy or Translator instance (stateful:
-		// rngs, previous-group maps) never run concurrently.
-		bp.execMu.Lock()
-		defer bp.execMu.Unlock()
+	bp.execMu.Lock()
+	defer bp.execMu.Unlock()
+
+	// A failed driver's audit event precedes the first apply that reads
+	// the driver (stale values or none); bindings sharing a driver are
+	// serialized by the locks above, which also guard ds.audited.
+	usable := false
+	for _, ds := range bp.states {
+		usable = usable || ds.vals != nil
+		if ds.lastErr != nil && ds.audited != ds.cycle {
+			ds.audited = ds.cycle
+			outcome := ds.lastErr.Error()
+			if ds.stale {
+				outcome = "stale-fallback: " + outcome
+			}
+			m.auditRecord(AuditEvent{At: now, Kind: AuditKindDriver, Driver: ds.name, Outcome: outcome})
+		}
 	}
-	sc.outcomes[i] = m.runBinding(sc.now, bp, sc.values)
+	if usable {
+		bp.outcome = m.runBinding(now, bp)
+		return
+	}
+	// Every driver of this binding is down past the staleness bound: the
+	// binding cannot run this period. recordFailure may reset it through
+	// the OS chain, hence under the locks.
+	bp.outcome = bindingOutcome{}
+	blocked := make([]error, len(bp.states))
+	for i, ds := range bp.states {
+		blocked[i] = ds.lastErr
+	}
+	m.recordFailure(bp, now, fmt.Errorf("binding %s/%s: no usable drivers: %w",
+		bp.policyName, bp.translatorName, errors.Join(blocked...)))
 }
 
-// bindingOutcome is one binding's slice of the apply phase, produced by a
-// worker and folded into stats on the stepping goroutine.
+// bindingOutcome is one binding's result for the cycle, produced by the
+// worker that ran it and folded into stats on the stepping goroutine.
 type bindingOutcome struct {
 	bst  BindingStepStats
 	errs []error
-	// ran marks a completed policy run (successful or not) — the binding
-	// produced a stats entry and counted toward PoliciesRun.
+	// ran marks a completed run (successful or not) — the binding
+	// produced a stats entry. The zero outcome is a binding with no usable
+	// driver.
 	ran      bool
 	entities int
 }
 
-// applyPhase runs policy evaluation + translator apply for every runnable
-// binding — concurrently through the bounded worker pool when a write
-// gate is installed — and folds the outcomes into stats in binding order.
-func (m *Middleware) applyPhase(now time.Duration, runnable []*boundPolicy, values Values, unavailable map[string]error, stats *StepStats, errs *[]error) {
-	// Availability gating first (cheap, and recordFailure may reset a
-	// binding through the OS chain, which must not interleave with apply
-	// workers).
-	sc := &m.scratch
-	toRun := sc.toRun[:0]
-	for _, bp := range runnable {
-		blocked := sc.blocked[:0]
-		available := false
-		for _, d := range bp.Drivers {
-			if err, bad := unavailable[d.Name()]; bad {
-				blocked = append(blocked, err)
-			} else {
-				available = true
-			}
-		}
-		sc.blocked = blocked
-		if !available {
-			// Every driver of this binding is down past the staleness
-			// bound: the binding cannot run this period.
-			m.recordFailure(bp, now, fmt.Errorf("binding %s/%s: no usable drivers: %w",
-				bp.policyName, bp.translatorName, errors.Join(blocked...)))
-			continue
-		}
-		toRun = append(toRun, bp)
-	}
-
-	sc.toRun = toRun
-	if cap(sc.outcomes) < len(toRun) {
-		sc.outcomes = make([]bindingOutcome, len(toRun))
-	}
-	outcomes := sc.outcomes[:len(toRun)]
-	workers := m.par.ApplyWorkers
-	if workers > len(toRun) {
-		workers = len(toRun)
-	}
-	parallel := !m.par.Disabled && m.gate != nil && workers > 1
-
-	sc.now = now
-	sc.values = values
-	if !parallel {
-		sc.applyParallel = false
-		for i := range toRun {
-			m.applyJob(i)
-		}
-	} else {
-		// Applies are CPU/syscall-bound and short: chunk indices so the
-		// pool pays a channel handoff per chunk, not per binding.
-		sc.applyParallel = true
-		m.bindPhaseJobs()
-		chunk := len(toRun) / (workers * 8)
-		if chunk < 1 {
-			chunk = 1
-		}
-		m.phasePool().run(workers, len(toRun), chunk, m.applyFn)
-		sc.applyParallel = false
-	}
-
-	for _, out := range outcomes {
-		if out.ran {
-			if out.bst.Memoized {
-				stats.Memoized++
-			} else {
-				stats.PoliciesRun++
-			}
-			stats.Entities += out.entities
-		}
-		stats.Bindings = append(stats.Bindings, out.bst)
-		*errs = append(*errs, out.errs...)
-	}
-}
-
 // runBinding executes one binding's schedule + apply and its breaker
-// bookkeeping. In parallel mode it runs on a worker holding the binding's
-// driver locks; everything it touches is either binding-local (bp),
-// internally synchronized (telemetry, audit trail, the OS chain), or its
-// own outcome slot.
-func (m *Middleware) runBinding(now time.Duration, bp *boundPolicy, values Values) bindingOutcome {
+// bookkeeping. It runs on a worker holding the binding's driver locks;
+// everything it touches is either binding-local (bp), settled for the
+// cycle (its drivers' state), or internally synchronized (telemetry, audit
+// trail, the OS chain).
+func (m *Middleware) runBinding(now time.Duration, bp *boundPolicy) bindingOutcome {
 	// Decision memo (memo.go): unchanged inputs since the last successful
 	// apply mean the OS is already enforcing the desired schedule — skip
 	// the cycle. The inflight guard still applies: a cancelled phase that
 	// has not drained must be handled by the full path below.
-	if bp.Memoize && bp.memoValid && !bp.inflight.Load() && m.memoHit(bp, values) {
+	if bp.Memoize && bp.memoValid && !bp.inflight.Load() && m.memoHit(bp) {
 		return m.memoSkip(bp, now)
 	}
 	out := bindingOutcome{}
@@ -381,7 +409,7 @@ func (m *Middleware) runBinding(now time.Duration, bp *boundPolicy, values Value
 		m.emitBinding(bctx, now, bp.label, m.nowFn().Sub(b0), err, childEmitted)
 		return out
 	}
-	view := m.buildView(now, bp, values)
+	view := m.buildView(now, bp)
 	out.entities = len(view.Entities)
 	bst.Entities = len(view.Entities)
 	t0 := m.nowFn()
@@ -486,7 +514,7 @@ func (m *Middleware) runBinding(now time.Duration, bp *boundPolicy, values Value
 	clear(bp.lastEntities)
 	maps.Copy(bp.lastEntities, view.Entities)
 	if bp.Memoize {
-		m.memoStore(bp, values, len(view.Entities))
+		m.memoStore(bp, len(view.Entities))
 	}
 	return out
 }

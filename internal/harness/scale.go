@@ -41,10 +41,9 @@ const (
 	scaleEntities = 4
 	// scalePeriod is every binding's decision period (virtual time).
 	scalePeriod = time.Second
-	// Wider-than-default fetch pool: fetches are pure IO waits, so the
+	// Wider-than-default worker pool: fetches are pure IO waits, so the
 	// pool is sized for overlap, not cores.
 	scaleFetchWorkers = 32
-	scaleApplyWorkers = 8
 )
 
 // scaleBindingCounts is the classic swept axis (16 -> 512 bindings),
@@ -225,7 +224,6 @@ type scaleConfig struct {
 	latency      time.Duration
 	churnEvery   int
 	fetchWorkers int
-	applyWorkers int
 }
 
 // classicSeq/classicPar are the original sweep's two cells, unchanged.
@@ -242,7 +240,7 @@ func classicPar(n, warmup, measure int) scaleConfig {
 		n: n, warmupSteps: warmup, measureSteps: measure,
 		mode: "par", audited: true,
 		latency: scaleFetchLatency, churnEvery: scaleChurnEvery,
-		fetchWorkers: scaleFetchWorkers, applyWorkers: scaleApplyWorkers,
+		fetchWorkers: scaleFetchWorkers,
 	}
 }
 
@@ -312,10 +310,7 @@ func runScale(cfg scaleConfig) (scaleRun, error) {
 		if trail != nil {
 			mw.SetAudit(trail)
 		}
-		mw.SetParallelism(core.Parallelism{
-			FetchWorkers: cfg.fetchWorkers,
-			ApplyWorkers: cfg.applyWorkers,
-		})
+		mw.SetParallelism(core.Parallelism{FetchWorkers: cfg.fetchWorkers})
 		mw.SetWriteGate(core.NewDriverGate())
 		for i := 0; i < cfg.n; i++ {
 			if err := bindOne(mw.Bind, i); err != nil {
@@ -336,14 +331,7 @@ func runScale(cfg scaleConfig) (scaleRun, error) {
 		if perShardFetch < 1 {
 			perShardFetch = 1
 		}
-		perShardApply := cfg.applyWorkers / cfg.shards
-		if perShardApply < 2 {
-			perShardApply = 2
-		}
-		sh.SetParallelism(core.Parallelism{
-			FetchWorkers: perShardFetch,
-			ApplyWorkers: perShardApply,
-		})
+		sh.SetParallelism(core.Parallelism{FetchWorkers: perShardFetch})
 		for i := 0; i < cfg.n; i++ {
 			if err := bindOne(sh.Bind, i); err != nil {
 				return scaleRun{}, err
@@ -563,7 +551,6 @@ type ScaleReport struct {
 	WarmupSteps  int        `json:"warmup_steps"`
 	MeasureSteps int        `json:"measure_steps"`
 	FetchWorkers int        `json:"fetch_workers"`
-	ApplyWorkers int        `json:"apply_workers"`
 	Rows         []ScaleRow `json:"rows"`
 }
 
@@ -637,14 +624,14 @@ func runScaleExtended(bc bigCount, warmup, measure int) (ScaleRow, error) {
 		warmup = scaleBigChurnEvery + 2
 	}
 
-	// fetchWorkers 1 inlines the fetch phase: with no modeled latency
-	// there is nothing to overlap, and on a small host dispatching n
-	// trivial fetch jobs through the pool costs more than the fetches.
+	// fetchWorkers 1 runs the cycle inline: with no modeled latency there
+	// is nothing to overlap, and on a small host dispatching n memoized
+	// (near-empty) jobs through the pool costs more than running them.
 	timing := scaleConfig{
 		n: bc.n, warmupSteps: warmup, measureSteps: measure,
 		mode: "par", audited: false, memoize: true,
 		latency: 0, churnEvery: scaleBigChurnEvery,
-		fetchWorkers: 1, applyWorkers: scaleApplyWorkers,
+		fetchWorkers: 1,
 	}
 	par, err := runScale(timing)
 	if err != nil {
@@ -654,7 +641,6 @@ func runScaleExtended(bc bigCount, warmup, measure int) (ScaleRow, error) {
 	shardTiming := timing
 	shardTiming.mode = "shard"
 	shardTiming.shards = bc.shards
-	shardTiming.applyWorkers = 2 * bc.shards
 	shd, err := runScale(shardTiming)
 	if err != nil {
 		return row, fmt.Errorf("extended sharded %d: %w", bc.n, err)
@@ -672,8 +658,7 @@ func runScaleExtended(bc bigCount, warmup, measure int) (ScaleRow, error) {
 	}
 	equiv.mode = "shard"
 	equiv.shards = bc.shards
-	equiv.fetchWorkers = bc.shards // one inline fetcher per shard
-	equiv.applyWorkers = 2 * bc.shards
+	equiv.fetchWorkers = bc.shards // each shard runs its cycle inline
 	shdE, err := runScale(equiv)
 	if err != nil {
 		return row, fmt.Errorf("equivalence sharded %d: %w", bc.n, err)
@@ -703,7 +688,6 @@ func scaleExp(w io.Writer, sc Scale) error {
 		WarmupSteps:  warmup,
 		MeasureSteps: measure,
 		FetchWorkers: scaleFetchWorkers,
-		ApplyWorkers: scaleApplyWorkers,
 	}
 	for _, n := range scaleBindingCounts {
 		if sc.Progress != nil {

@@ -54,7 +54,7 @@ func TestScaleRegressionGate(t *testing.T) {
 	mw := core.NewMiddleware(nil)
 	defer mw.Close()
 	mw.SetWriteGate(core.NewDriverGate())
-	mw.SetParallelism(core.Parallelism{FetchWorkers: 8, ApplyWorkers: 4})
+	mw.SetParallelism(core.Parallelism{FetchWorkers: 8})
 	cnt := &scaleCountingOS{}
 	for i := 0; i < allocBindings; i++ {
 		drv := newScaleDriver(i, 3*scalePeriod, 0, scaleBigChurnEvery)
@@ -94,7 +94,7 @@ func TestScaleRegressionGate(t *testing.T) {
 		n: bc.n, warmupSteps: scaleBigChurnEvery + 2, measureSteps: 20,
 		mode: "par", audited: false, memoize: true,
 		latency: 0, churnEvery: scaleBigChurnEvery,
-		fetchWorkers: 1, applyWorkers: scaleApplyWorkers,
+		fetchWorkers: 1,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -101,7 +101,6 @@ func buildTraceStack(n, warmupSteps int, traced bool, seed uint64) (traceRun, er
 	warmup := time.Duration(warmupSteps) * scalePeriod
 	mw.SetParallelism(core.Parallelism{
 		FetchWorkers: scaleFetchWorkers,
-		ApplyWorkers: scaleApplyWorkers,
 	})
 	mw.SetWriteGate(core.NewDriverGate())
 	for i := 0; i < n; i++ {

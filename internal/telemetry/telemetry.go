@@ -389,7 +389,10 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		name string
 		kind instrumentKind
 		keys []string
-		m    map[string]any
+		// items holds the instrument pointers in keys order. The live
+		// fam.items map must not leave the lock: a first-use create writes
+		// it while this export is still rendering.
+		items []any
 	}
 	snaps := make([]snap, 0, len(names))
 	for _, name := range names {
@@ -399,7 +402,11 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 			keys = append(keys, k)
 		}
 		sort.Strings(keys)
-		snaps = append(snaps, snap{name: name, kind: fam.kind, keys: keys, m: fam.items})
+		items := make([]any, len(keys))
+		for i, k := range keys {
+			items[i] = fam.items[k]
+		}
+		snaps = append(snaps, snap{name: name, kind: fam.kind, keys: keys, items: items})
 	}
 	r.mu.RUnlock()
 
@@ -407,8 +414,8 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		if _, err := fmt.Fprintf(w, "# TYPE %s %v\n", s.name, s.kind); err != nil {
 			return err
 		}
-		for _, key := range s.keys {
-			switch item := s.m[key].(type) {
+		for i, key := range s.keys {
+			switch item := s.items[i].(type) {
 			case *Counter:
 				if _, err := fmt.Fprintf(w, "%s%s %d\n", s.name, key, item.Value()); err != nil {
 					return err
