@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strings"
 	"time"
 
 	"lachesis/internal/harness"
@@ -28,8 +29,13 @@ func main() {
 func run(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("lachesis-bench", flag.ContinueOnError)
 	fs.SetOutput(stderr)
+	all := harness.All()
+	ids := make([]string, 0, len(all))
+	for _, e := range all {
+		ids = append(ids, e.ID)
+	}
 	var (
-		experiment = fs.String("experiment", "", "experiment id (fig1..fig18, table1, chaos, overhead, drift, scale, or 'all')")
+		experiment = fs.String("experiment", "", "experiment id ("+strings.Join(ids, ", ")+", or 'all')")
 		scaleName  = fs.String("scale", "quick", "quick or full")
 		list       = fs.Bool("list", false, "list experiments")
 		verbose    = fs.Bool("v", false, "print progress")
@@ -40,7 +46,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return err
 	}
 	if *list {
-		for _, e := range harness.All() {
+		for _, e := range all {
 			fmt.Fprintf(stdout, "%-8s %s\n", e.ID, e.Title)
 		}
 		return nil
@@ -76,7 +82,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 
 	var exps []harness.Experiment
 	if *experiment == "all" {
-		exps = harness.All()
+		exps = all
 	} else {
 		e, ok := harness.ByID(*experiment)
 		if !ok {

@@ -320,7 +320,7 @@ func TestPolicyRolloutEndpoint(t *testing.T) {
 	canary.SetAudit(trail)
 	canary.SetProvider(mw.Provider())
 	wd := guard.NewWatchdog(guard.WatchdogConfig{Fetch: time.Second})
-	slot := canary.Slot(buildPolicy(map[string]float64{"count": 10, "toll": 1}))
+	slot := canary.Slot(buildPolicy(map[string]float64{"count": 10, "toll": 1}, "nice"))
 	if err := mw.Bind(core.Binding{
 		Policy:     slot,
 		Translator: core.NewNiceTranslator(core.AuditOS(ctl, trail)),
@@ -339,7 +339,7 @@ func TestPolicyRolloutEndpoint(t *testing.T) {
 		if len(pc.Priorities) == 0 {
 			return errors.New("policy has no priorities")
 		}
-		return canary.ProposeCtx(0, "http-test", buildPolicy(pc.Priorities), raw, parent)
+		return canary.ProposeCtx(0, "http-test", buildPolicy(pc.Priorities, "nice"), raw, parent)
 	}
 	srv := httptest.NewServer(newIntrospectionHandler(introspectionDeps{
 		mu: &mu, mw: mw, trail: trail, canary: canary, wd: wd, propose: propose,

@@ -142,14 +142,25 @@ type policyConfig struct {
 	Version    string             `json:"version,omitempty"`
 }
 
+// translatorCombined is the config name of the paper's combined mechanism:
+// one cgroup per query, nice inside the group.
+const translatorCombined = "nice+cpu.shares"
+
 // buildPolicy constructs the daemon's policy from logical priorities (the
-// §5.1 high-level-policy + transformation-rule path).
-func buildPolicy(pri map[string]float64) core.Policy {
-	return core.Transformed(&core.StaticLogicalPolicy{
+// §5.1 high-level-policy + transformation-rule path). The combined
+// translator needs a grouping schedule the static policy does not emit, so
+// under it every policy — the start-up one and each proposed candidate —
+// also groups operators per query.
+func buildPolicy(pri map[string]float64, translator string) core.Policy {
+	p := core.Transformed(&core.StaticLogicalPolicy{
 		PolicyName: "configured",
 		Priorities: core.LogicalSchedule(pri),
 		Default:    0,
 	}, core.MaxPriorityRule)
+	if translator == translatorCombined {
+		return core.GroupPerQuery(p)
+	}
+	return p
 }
 
 // staticDriver exposes the configured entities; it provides no metrics
@@ -193,7 +204,7 @@ func run(args []string, stdout, stderr io.Writer, sigs <-chan os.Signal) error {
 			"fleet coordinator base URL to register with and heartbeat (empty = standalone)")
 		coordinators = fs.String("coordinators", "",
 			"comma-separated additional coordinator addresses the beacon fails over to when the primary dies")
-		agentID = fs.String("agent-id", "", "agent id reported to the fleet coordinator (default: hostname)")
+		agentID   = fs.String("agent-id", "", "agent id reported to the fleet coordinator (default: hostname)")
 		advertise = fs.String("advertise", "",
 			"address the coordinator should reach this agent's policy API on (default: the -introspect address)")
 		pprofEnabled = fs.Bool("pprof", false,
@@ -427,7 +438,7 @@ func run(args []string, stdout, stderr io.Writer, sigs <-chan os.Signal) error {
 		tr = core.NewNiceTranslator(applyOS)
 	case "cpu.shares":
 		tr = core.NewSharesTranslator(applyOS, 0, 0)
-	case "nice+cpu.shares":
+	case translatorCombined:
 		tr = core.NewCombinedTranslator(applyOS, 0, 0)
 	default:
 		return fmt.Errorf("unknown translator %q", cfg.Translator)
@@ -498,7 +509,7 @@ func run(args []string, stdout, stderr io.Writer, sigs <-chan os.Signal) error {
 	if store != nil {
 		canary.SetPolicyStore(store)
 	}
-	slot := canary.Slot(buildPolicy(priorities))
+	slot := canary.Slot(buildPolicy(priorities, cfg.Translator))
 
 	period := time.Duration(cfg.PeriodMillis) * time.Millisecond
 	binding := core.Binding{
@@ -549,7 +560,7 @@ func run(args []string, stdout, stderr io.Writer, sigs <-chan os.Signal) error {
 		if pc.Version != "" {
 			name = pc.Version
 		}
-		if err := canary.ProposeCtx(now, name, buildPolicy(pc.Priorities), raw, parent); err != nil {
+		if err := canary.ProposeCtx(now, name, buildPolicy(pc.Priorities, cfg.Translator), raw, parent); err != nil {
 			return err
 		}
 		origin := pc.Origin

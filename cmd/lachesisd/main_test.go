@@ -292,6 +292,84 @@ func TestSIGHUPHotReloadPromotesAndPersists(t *testing.T) {
 	}
 }
 
+const combinedConfig = `{
+  "periodMillis": 100,
+  "cgroupRoot": "/cg/lachesis",
+  "translator": "nice+cpu.shares",
+  "entities": [
+    {"name": "a.count.0", "query": "a", "tid": 4242, "logical": ["count"]},
+    {"name": "a.toll.0",  "query": "a", "tid": 4243, "logical": ["toll"]},
+    {"name": "b.count.0", "query": "b", "tid": 5242, "logical": ["count"]},
+    {"name": "b.toll.0",  "query": "b", "tid": 5243, "logical": ["toll"]}
+  ],
+  "priorities": {"count": 10, "toll": 1}
+}`
+
+// TestCombinedTranslatorGroupsPerQuery: the combined translator needs a
+// grouping schedule, which the configured static policy does not emit; the
+// daemon supplies the paper's cgroup-per-query grouping. Before the fix
+// every step failed with "combined translator needs an explicit grouping
+// schedule" and the binding degraded. The second run checks the propose
+// path: a SIGHUP candidate must be grouped too, or it fails its first
+// apply instead of being promoted.
+func TestCombinedTranslatorGroupsPerQuery(t *testing.T) {
+	dir := t.TempDir()
+	cfgPath := filepath.Join(dir, "config.json")
+	statePath := filepath.Join(dir, "state")
+	if err := os.WriteFile(cfgPath, []byte(combinedConfig), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var out, errOut bytes.Buffer
+	if err := run([]string{"-config", cfgPath, "-state", statePath, "-iterations", "2"},
+		&out, &errOut, nil); err != nil {
+		t.Fatal(err)
+	}
+	s := out.String()
+	for _, want := range []string{
+		"/cg/lachesis/query-a/cpu.shares",
+		"/cg/lachesis/query-b/cpu.shares",
+		`echo "4243" > /cg/lachesis/query-a/tasks`,
+		`echo "5242" > /cg/lachesis/query-b/tasks`,
+		"renice tid=4242 nice=-20",
+		"renice tid=5243 nice=19",
+	} {
+		if !strings.Contains(s, want) {
+			t.Errorf("first step did not apply %q:\n%s", want, s)
+		}
+	}
+	if strings.Contains(errOut.String(), "lachesisd: step:") {
+		t.Errorf("step failed under the combined translator:\n%s", errOut.String())
+	}
+	if !strings.Contains(errOut.String(), "/nice+cpu.shares healthy") {
+		t.Errorf("binding not healthy after two iterations:\n%s", errOut.String())
+	}
+
+	// Inverted priorities staged by SIGHUP: promoted only if the candidate
+	// applies cleanly under the same translator.
+	inverted := strings.Replace(combinedConfig, `{"count": 10, "toll": 1}`, `{"count": 1, "toll": 10}`, 1)
+	if err := os.WriteFile(cfgPath, []byte(inverted), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	sigs := make(chan os.Signal, 1)
+	sigs <- syscall.SIGHUP
+	out.Reset()
+	errOut.Reset()
+	if err := run([]string{"-config", cfgPath, "-state", statePath, "-iterations", "10"},
+		&out, &errOut, sigs); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(errOut.String(), "proposed 2 priorities as canary candidate") {
+		t.Errorf("SIGHUP did not stage the candidate:\n%s", errOut.String())
+	}
+	if strings.Contains(errOut.String(), "lachesisd: step:") {
+		t.Errorf("candidate failed to apply under the combined translator:\n%s", errOut.String())
+	}
+	s = out.String()
+	if !strings.Contains(s, "renice tid=4242 nice=19") || !strings.Contains(s, "renice tid=5243 nice=-20") {
+		t.Errorf("grouped candidate never enforced:\n%s", s)
+	}
+}
+
 // syncBuffer is a goroutine-safe bytes.Buffer: the daemon goroutine
 // writes while the test polls.
 type syncBuffer struct {

@@ -5,10 +5,10 @@ import (
 	"sync"
 )
 
-// DriverGate is the parallel-pipeline replacement for ApplyGate's single
-// mutex: one write lock per driver, plus an exclusive mode for whole-chain
-// writers (the reconciler, shutdown resets). Bindings over disjoint SPEs
-// take disjoint locks and apply concurrently; bindings sharing a driver —
+// DriverGate orders the writers of one OS chain: one write lock per
+// driver, plus an exclusive mode for whole-chain writers (the reconciler,
+// shutdown resets). Bindings over disjoint SPEs take disjoint locks and
+// apply concurrently; bindings sharing a driver —
 // and therefore potentially the same threads and cgroups — serialize on
 // that driver's lock. The wrapped chain itself (AuditOS, RecordingOS, the
 // control backends) is internally synchronized, so the gate only has to
@@ -16,12 +16,12 @@ import (
 //
 // Two entry points:
 //
-//   - LockDrivers(names) — taken by the middleware's apply workers around
+//   - LockSetFor(names) — taken by the middleware's apply workers around
 //     one binding's schedule+apply. Locks are acquired in sorted name
 //     order, so workers whose driver sets overlap cannot deadlock.
 //   - ExclusiveOS(inner) — an OSInterface wrapper for the reconciler:
-//     every op excludes ALL drivers, the same guarantee ApplyGate gave,
-//     without holding up disjoint bindings the rest of the time.
+//     every op excludes ALL drivers, without holding up disjoint bindings
+//     the rest of the time.
 type DriverGate struct {
 	// global is held shared by apply workers and exclusively by
 	// ExclusiveOS ops, so a repair never interleaves with any apply.
@@ -49,50 +49,18 @@ func (g *DriverGate) lockFor(name string) *sync.Mutex {
 	return l
 }
 
-// LockDrivers acquires the write locks of the named drivers (in sorted
-// order, deduplicated) plus a shared hold on the gate, and returns the
-// corresponding unlock. Callers bracket one binding's policy evaluation +
-// translator apply with it.
-func (g *DriverGate) LockDrivers(names []string) (unlock func()) {
-	sorted := make([]string, 0, len(names))
-	seen := make(map[string]bool, len(names))
-	for _, n := range names {
-		if !seen[n] {
-			seen[n] = true
-			sorted = append(sorted, n)
-		}
-	}
-	sort.Strings(sorted)
-
-	g.global.RLock()
-	locks := make([]*sync.Mutex, 0, len(sorted))
-	for _, n := range sorted {
-		l := g.lockFor(n)
-		l.Lock()
-		locks = append(locks, l)
-	}
-	return func() {
-		for i := len(locks) - 1; i >= 0; i-- {
-			locks[i].Unlock()
-		}
-		g.global.RUnlock()
-	}
-}
-
 // DriverLockSet is a precomputed, deduplicated, sorted set of per-driver
-// locks plus the shared gate hold: the allocation-free counterpart of
-// LockDrivers for callers that lock the same driver set every cycle.
-// Bindings build one per gate at first apply (see boundPolicy.lockSetFor)
-// and pay two function calls per cycle instead of a sort, a dedup map,
-// a lock slice, and an unlock closure.
+// locks plus the shared gate hold. Callers bracket one binding's policy
+// evaluation + translator apply with Lock/Unlock; bindings build one per
+// gate at first apply (see boundPolicy.lockSetFor), so a cycle pays two
+// function calls and no allocation.
 type DriverLockSet struct {
 	gate  *DriverGate
 	locks []*sync.Mutex
 }
 
-// LockSetFor precomputes the lock set for the named drivers. The same
-// sorted-order acquisition as LockDrivers keeps overlapping sets
-// deadlock-free.
+// LockSetFor precomputes the lock set for the named drivers. Sorted-order
+// acquisition keeps overlapping sets deadlock-free.
 func (g *DriverGate) LockSetFor(names []string) *DriverLockSet {
 	sorted := make([]string, 0, len(names))
 	seen := make(map[string]bool, len(names))
@@ -175,7 +143,7 @@ func (x *exclusiveOS) MoveThread(tid int, name string) error {
 }
 
 // RemoveCgroup implements CgroupRemover; a no-op when the wrapped
-// interface lacks the capability (matching ApplyGate).
+// interface lacks the capability.
 func (x *exclusiveOS) RemoveCgroup(name string) error {
 	x.gate.global.Lock()
 	defer x.gate.global.Unlock()

@@ -1,13 +1,14 @@
 package core
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 )
 
 // gateProbeOS flags any two control ops executing concurrently — the
-// exact interleaving the ApplyGate must prevent. Its maps are deliberately
+// exact interleaving the DriverGate must prevent. Its maps are deliberately
 // unsynchronized so `go test -race` also catches a broken gate.
 type gateProbeOS struct {
 	busy     int32
@@ -37,6 +38,7 @@ func (o *gateProbeOS) enter() func() {
 	if !atomic.CompareAndSwapInt32(&o.busy, 0, 1) {
 		atomic.AddInt32(&o.overlaps, 1)
 	}
+	runtime.Gosched() // hold the op open so a broken gate lets another in
 	return func() { atomic.StoreInt32(&o.busy, 0) }
 }
 
@@ -81,32 +83,48 @@ func (o *gateProbeOS) InvalidateCgroup(name string) {
 	o.invGrp[name] = true
 }
 
-// TestApplyGateSerializes hammers the gate from two writer personas — a
-// translator-style applier and a reconciler-style invalidate-then-repair
-// loop — and asserts the inner OS never sees overlapping ops.
-func TestApplyGateSerializes(t *testing.T) {
+// TestExclusiveOSSerializes hammers one gate from three writer personas:
+// two whole-chain writers going through ExclusiveOS (a reconciler-style
+// invalidate-then-repair loop and a shutdown-style reset loop) and an
+// apply worker that writes to the inner chain directly while holding its
+// binding's DriverLockSet, as runReady does. The inner OS must never see
+// two ops at once: exclusive ops exclude each other and every held lock
+// set.
+func TestExclusiveOSSerializes(t *testing.T) {
 	probe := newGateProbeOS()
-	gate := NewApplyGate(probe)
+	gate := NewDriverGate()
+	excl := gate.ExclusiveOS(probe)
+	inv := excl.(CacheInvalidator)
+	ls := gate.LockSetFor([]string{"spe"})
 
 	const iters = 500
 	var wg sync.WaitGroup
-	wg.Add(2)
+	wg.Add(3)
 	go func() { // middleware apply path (incl. half-open probe re-applies)
 		defer wg.Done()
 		for i := 0; i < iters; i++ {
-			_ = gate.SetNice(11, i%5)
-			_ = gate.EnsureCgroup("g")
-			_ = gate.SetShares("g", 100+i%7)
-			_ = gate.MoveThread(11, "g")
+			ls.Lock()
+			_ = probe.SetNice(11, i%5)
+			_ = probe.EnsureCgroup("g")
+			_ = probe.SetShares("g", 100+i%7)
+			_ = probe.MoveThread(11, "g")
+			ls.Unlock()
 		}
 	}()
 	go func() { // reconciler repair path on the same entity
 		defer wg.Done()
 		for i := 0; i < iters; i++ {
-			gate.InvalidateThread(11)
-			_ = gate.SetNice(11, i%5)
-			gate.InvalidateCgroup("g")
-			_ = gate.SetShares("g", 100+i%7)
+			inv.InvalidateThread(11)
+			_ = excl.SetNice(11, i%5)
+			inv.InvalidateCgroup("g")
+			_ = excl.SetShares("g", 100+i%7)
+		}
+	}()
+	go func() { // shutdown reset path
+		defer wg.Done()
+		for i := 0; i < iters; i++ {
+			_ = excl.SetNice(11, 0)
+			_ = excl.MoveThread(11, "")
 		}
 	}()
 	wg.Wait()
@@ -118,28 +136,33 @@ func TestApplyGateSerializes(t *testing.T) {
 	}
 }
 
-// TestApplyGateCapabilityForwarding checks optional capabilities pass
+// TestExclusiveOSCapabilityForwarding checks optional capabilities pass
 // through when present and degrade to no-ops when absent.
-func TestApplyGateCapabilityForwarding(t *testing.T) {
+func TestExclusiveOSCapabilityForwarding(t *testing.T) {
 	probe := newGateProbeOS()
-	gate := NewApplyGate(probe)
-	if err := gate.RemoveCgroup("dead"); err != nil || !probe.removed["dead"] {
+	excl := NewDriverGate().ExclusiveOS(probe)
+	if err := excl.(CgroupRemover).RemoveCgroup("dead"); err != nil || !probe.removed["dead"] {
 		t.Fatalf("RemoveCgroup not forwarded (err=%v)", err)
 	}
-	if err := gate.RestoreThread(7); err != nil || !probe.restored[7] {
+	if err := excl.(PlacementRestorer).RestoreThread(7); err != nil || !probe.restored[7] {
 		t.Fatalf("RestoreThread not forwarded (err=%v)", err)
+	}
+	excl.(CacheInvalidator).InvalidateThread(7)
+	excl.(CacheInvalidator).InvalidateCgroup("dead")
+	if !probe.invTID[7] || !probe.invGrp["dead"] {
+		t.Fatalf("invalidations not forwarded: tid=%v grp=%v", probe.invTID[7], probe.invGrp["dead"])
 	}
 
 	// A bare OSInterface without the capabilities: calls are benign no-ops.
-	bare := NewApplyGate(newFakeOS())
-	if err := bare.RemoveCgroup("x"); err != nil {
+	bare := NewDriverGate().ExclusiveOS(newFakeOS())
+	if err := bare.(CgroupRemover).RemoveCgroup("x"); err != nil {
 		t.Fatalf("RemoveCgroup on bare OS: %v", err)
 	}
-	if err := bare.RestoreThread(1); err != nil {
+	if err := bare.(PlacementRestorer).RestoreThread(1); err != nil {
 		t.Fatalf("RestoreThread on bare OS: %v", err)
 	}
-	bare.InvalidateThread(1) // must not panic
-	bare.InvalidateCgroup("x")
+	bare.(CacheInvalidator).InvalidateThread(1) // must not panic
+	bare.(CacheInvalidator).InvalidateCgroup("x")
 }
 
 // TestAuditOSInvalidation checks the audit wrapper's same-value

@@ -49,15 +49,12 @@ func (d *benchDriver) Fetch(metric string, now time.Duration) (EntityValues, err
 // nopOS counts control ops without allocating.
 type nopOS struct {
 	nices, ensures, shares, moves atomic.Int64
-	// fail, when set between Steps, makes every control call fail (memo
-	// invalidation tests).
-	fail error
 }
 
-func (o *nopOS) SetNice(tid, nice int) error             { o.nices.Add(1); return o.fail }
-func (o *nopOS) EnsureCgroup(name string) error          { o.ensures.Add(1); return o.fail }
-func (o *nopOS) SetShares(name string, shares int) error { o.shares.Add(1); return o.fail }
-func (o *nopOS) MoveThread(tid int, name string) error   { o.moves.Add(1); return o.fail }
+func (o *nopOS) SetNice(tid, nice int) error             { o.nices.Add(1); return nil }
+func (o *nopOS) EnsureCgroup(name string) error          { o.ensures.Add(1); return nil }
+func (o *nopOS) SetShares(name string, shares int) error { o.shares.Add(1); return nil }
+func (o *nopOS) MoveThread(tid int, name string) error   { o.moves.Add(1); return nil }
 
 // calls sums all control traffic the backend has seen.
 func (o *nopOS) calls() int64 {

@@ -42,16 +42,6 @@ type Binding struct {
 	// Translator writes through, and sits above the Coalescer:
 	// translator -> guard -> coalescer -> backend. One Guard per binding.
 	Guard ApplyGuard
-	// Memoize opts this binding into decision memoization: when every
-	// bound driver's metric values and entity list are unchanged since
-	// the binding's last successful apply, the whole
-	// schedule -> translate -> apply pipeline is skipped for that cycle
-	// (see memo.go). Only sound for value-deterministic policies — the
-	// schedule must be a pure function of the view's entities and values
-	// (no View.Now dependence, internal state, or randomness). Failures
-	// and quarantine resets invalidate the memo, so probes and recovery
-	// always run the full pipeline.
-	Memoize bool
 }
 
 // DegradedAction selects what a binding does when its circuit breaker
@@ -309,14 +299,6 @@ type boundPolicy struct {
 	lastErr      error
 	lastEntities map[string]Entity // last successfully scheduled entities
 
-	// Decision-memoization snapshot (memo.go): deep copies of the last
-	// successfully applied inputs, per driver name. memoValid gates the
-	// fast path and is cleared on any failure or quarantine reset.
-	memoValid    bool
-	memoVals     map[string]map[string]EntityValues
-	memoEnts     map[string][]Entity
-	memoEntities int
-
 	// inflight marks a deadline-cancelled phase whose goroutine has not
 	// returned yet; runs are refused until it drains (see guardhook.go).
 	inflight atomic.Bool
@@ -536,11 +518,7 @@ type BindingStepStats struct {
 	// Quarantined marks a binding skipped by an open breaker (no phases
 	// ran).
 	Quarantined bool
-	// Memoized marks a cycle served from the decision memo: inputs were
-	// unchanged since the last successful apply, so no phase ran and the
-	// OS keeps enforcing the previous schedule (see Binding.Memoize).
-	Memoized bool
-	Err      string
+	Err         string
 }
 
 // StepStats reports what one Step did, letting callers model the
@@ -563,10 +541,6 @@ type StepStats struct {
 	// Quarantined is the number of due bindings skipped by an open
 	// circuit breaker.
 	Quarantined int
-	// Memoized is the number of due bindings served from the decision
-	// memo this step (unchanged inputs, pipeline skipped; not counted in
-	// PoliciesRun because no policy executed).
-	Memoized int
 	// Next is the earliest time any policy is due again. It is always in
 	// the future, even when every driver failed, so callers honoring it
 	// never busy-loop.
@@ -715,7 +689,6 @@ func (m *Middleware) stepStrict(now time.Duration, due []*boundPolicy, stats *St
 func (m *Middleware) recordFailure(bp *boundPolicy, now time.Duration, err error) {
 	bp.fails++
 	bp.lastErr = err
-	bp.memoValid = false // a failed cycle must never be served from the memo
 	if bp.open {
 		// Failed half-open probe: re-quarantine with doubled backoff.
 		bp.opens++
@@ -766,7 +739,6 @@ func (m *Middleware) backoff(bp *boundPolicy) time.Duration {
 // scheduling, best-effort: through the translator's Resetter capability
 // when available, otherwise by applying a neutral (all-equal) schedule.
 func (m *Middleware) resetBinding(now time.Duration, bp *boundPolicy) {
-	bp.memoValid = false // the applied schedule is being replaced by neutral
 	if len(bp.lastEntities) == 0 {
 		return
 	}

@@ -40,7 +40,7 @@ type Observer interface {
 // re-applies; after external interference those caches lie (the cache
 // says the value is already set, the kernel disagrees), so a reconciler
 // must invalidate before re-applying a drifted value. Wrappers
-// (AuditOS, ApplyGate, fault injectors) forward the capability down
+// (AuditOS, DriverGate.ExclusiveOS, fault injectors) forward the capability down
 // their chain.
 type CacheInvalidator interface {
 	// InvalidateThread forgets cached per-thread state (nice, placement).

@@ -42,8 +42,8 @@ const DefaultFetchWorkers = 8
 // pool width.
 type Parallelism struct {
 	// Disabled runs the whole cycle inline on the stepping goroutine, in
-	// driver order, with no fetch timeout (the baseline the scale
-	// experiment measures against).
+	// driver order, with no fetch timeout (the reference stack the
+	// repository benchmark checks the shipped one against).
 	Disabled bool
 	// FetchWorkers is the pool width: how many drivers may be in flight —
 	// fetching, or running the bindings their fetch released — at once
@@ -72,9 +72,6 @@ func (p Parallelism) withDefaults() Parallelism {
 // sequential cycle.
 func (m *Middleware) SetParallelism(p Parallelism) { m.par = p.withDefaults() }
 
-// ParallelismConfig returns the active pipeline configuration.
-func (m *Middleware) ParallelismConfig() Parallelism { return m.par }
-
 // SetWriteGate installs the per-driver write gate that makes concurrent
 // binding applies safe: the worker running a binding locks its drivers, so
 // bindings over disjoint SPEs proceed concurrently — in fetch-completion
@@ -83,10 +80,6 @@ func (m *Middleware) ParallelismConfig() Parallelism { return m.par }
 // (the reconciler, shutdown resets) use gate.ExclusiveOS. nil removes the
 // gate; bindings then run one at a time, in binding order.
 func (m *Middleware) SetWriteGate(g *DriverGate) { m.gate = g }
-
-// WriteGate returns the installed per-driver write gate (nil when apply
-// parallelism is off).
-func (m *Middleware) WriteGate() *DriverGate { return m.gate }
 
 // sameInstance reports whether two interface values hold the same
 // underlying instance. Non-comparable dynamic types report false instead
@@ -218,11 +211,7 @@ func (m *Middleware) stepResilient(now time.Duration, due []*boundPolicy, stats 
 		if !out.ran {
 			continue // no usable driver: the binding did not run this period
 		}
-		if out.bst.Memoized {
-			stats.Memoized++
-		} else {
-			stats.PoliciesRun++
-		}
+		stats.PoliciesRun++
 		stats.Entities += out.entities
 		stats.Bindings = append(stats.Bindings, out.bst)
 		errs = append(errs, out.errs...)
@@ -372,13 +361,6 @@ type bindingOutcome struct {
 // cycle (its drivers' state), or internally synchronized (telemetry, audit
 // trail, the OS chain).
 func (m *Middleware) runBinding(now time.Duration, bp *boundPolicy) bindingOutcome {
-	// Decision memo (memo.go): unchanged inputs since the last successful
-	// apply mean the OS is already enforcing the desired schedule — skip
-	// the cycle. The inflight guard still applies: a cancelled phase that
-	// has not drained must be handled by the full path below.
-	if bp.Memoize && bp.memoValid && !bp.inflight.Load() && m.memoHit(bp) {
-		return m.memoSkip(bp, now)
-	}
 	out := bindingOutcome{}
 	out.ran = true
 	bst := BindingStepStats{
@@ -513,8 +495,5 @@ func (m *Middleware) runBinding(now time.Duration, bp *boundPolicy) bindingOutco
 	}
 	clear(bp.lastEntities)
 	maps.Copy(bp.lastEntities, view.Entities)
-	if bp.Memoize {
-		m.memoStore(bp, len(view.Entities))
-	}
 	return out
 }

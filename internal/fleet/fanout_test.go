@@ -29,9 +29,9 @@ func (f *flakyAgent) Propose([]byte) (guard.Status, error) {
 	f.proposals++
 	return f.status, nil
 }
-func (f *flakyAgent) Status() (guard.Status, error)  { return f.status, nil }
-func (f *flakyAgent) SLO() (guard.SLOSample, error)  { return guard.SLOSample{}, nil }
-func (f *flakyAgent) proposalsMade() int             { f.mu.Lock(); defer f.mu.Unlock(); return f.proposals }
+func (f *flakyAgent) Status() (guard.Status, error) { return f.status, nil }
+func (f *flakyAgent) SLO() (guard.SLOSample, error) { return guard.SLOSample{}, nil }
+func (f *flakyAgent) proposalsMade() int            { f.mu.Lock(); defer f.mu.Unlock(); return f.proposals }
 
 func oneAgent(c AgentClient) ConnFactory {
 	return func(AgentRecord) AgentClient { return c }

@@ -132,7 +132,7 @@ func newDriftWorld(store *reconcile.Store) (*driftWorld, error) {
 		}
 		return id
 	}
-	gate := core.NewApplyGate(reconcile.RecordOS(osa, state, ident, nil))
+	gate := core.NewDriverGate().ExclusiveOS(reconcile.RecordOS(osa, state, ident, nil))
 
 	prios := core.LogicalSchedule{}
 	for i, e := range drv.Entities() {
@@ -333,7 +333,7 @@ func runWarmRestart(sc Scale) (WarmRestartRow, error) {
 		}
 		return id
 	}
-	gate2 := core.NewApplyGate(reconcile.RecordOS(osa2, state2, ident2, nil))
+	gate2 := core.NewDriverGate().ExclusiveOS(reconcile.RecordOS(osa2, state2, ident2, nil))
 
 	row.MismatchBefore = niceMismatches(k, state2)
 	rec2 := reconcile.New(reconcile.Config{OS: gate2, Observer: osa2, State: state2, Now: k.Now})

@@ -28,20 +28,13 @@ type Scale struct {
 	// (BENCH_*.json, decision-audit JSONL, Prometheus dumps) from the
 	// experiments that produce them.
 	ArtifactDir string
-	// BigCounts selects the extended binding counts (2k/4k/10k) the
-	// scale experiment appends beyond the classic 16-512 sweep; see
-	// scale.go for how those rows are measured.
-	BigCounts []int
 }
 
-// QuickScale is sized for test suites and benchmarks. Its scale sweep
-// extends to 2000 bindings — the CI regression point of the hot-path
-// budget — but skips the larger extended counts.
-var QuickScale = Scale{Warmup: 5 * time.Second, Measure: 20 * time.Second, Reps: 1, BigCounts: []int{2000}}
+// QuickScale is sized for test suites and benchmarks.
+var QuickScale = Scale{Warmup: 5 * time.Second, Measure: 20 * time.Second, Reps: 1}
 
-// FullScale approximates the paper's measurement windows and sweeps the
-// full extended-scale story up to 10k bindings.
-var FullScale = Scale{Warmup: 15 * time.Second, Measure: 60 * time.Second, Reps: 3, BigCounts: []int{2000, 4000, 10000}}
+// FullScale approximates the paper's measurement windows.
+var FullScale = Scale{Warmup: 15 * time.Second, Measure: 60 * time.Second, Reps: 3}
 
 // maybeCSV writes a sweep's series to <CSVDir>/<name>.csv when requested.
 func maybeCSV(sc Scale, name string, series []Series) error {
@@ -90,7 +83,6 @@ func All() []Experiment {
 		{"overhead", "Overhead: decision-cycle cost per binding count (§6.7 self-cost)", overheadExp},
 		{"drift", "Drift: desired-state reconciliation vs fire-and-forget, warm restart", driftExp},
 		{"rollout", "Rollout: adversarial policy vs guarded (canary+invariants+watchdog) and unguarded stacks", rolloutExp},
-		{"scale", "Scale: parallel decision pipeline vs sequential, 16-512 bindings", scaleExp},
 		{"fleet", "Fleet: coordinated rollout across simulated lachesisd agents — cohort containment, coordinator crash", fleetExp},
 		{"failover", "Failover: coordinator HA — leader kill mid-wave, standby promotion, split-brain fencing", failoverExp},
 		{"traceoverhead", "Trace overhead: decision-cycle cost with and without the span recorder, 256 bindings", traceOverheadExp},

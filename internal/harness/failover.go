@@ -356,10 +356,10 @@ type FailoverRun struct {
 	Promoted      bool `json:"promoted"`
 	// ConvergenceHeartbeats: heartbeat rounds from the kill until every
 	// agent held the candidate as last-good.
-	ConvergenceHeartbeats int `json:"convergence_heartbeats"`
-	ConvergenceBound      int `json:"convergence_bound"`
-	DoublePushes          int `json:"double_pushes"`
-	ClobberedAgents       int `json:"clobbered_agents"`
+	ConvergenceHeartbeats int  `json:"convergence_heartbeats"`
+	ConvergenceBound      int  `json:"convergence_bound"`
+	DoublePushes          int  `json:"double_pushes"`
+	ClobberedAgents       int  `json:"clobbered_agents"`
 	Converged             bool `json:"converged"`
 }
 

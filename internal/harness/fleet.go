@@ -50,8 +50,8 @@ const (
 	// one fleet observation window.
 	fleetLocalWindow = 2
 	// fleetBaseP95 / fleetBaseTput are the per-node SLO baseline.
-	fleetBaseP95 = 0.010 // seconds
-	fleetBaseTput = 1000 // tuples/s
+	fleetBaseP95  = 0.010 // seconds
+	fleetBaseTput = 1000  // tuples/s
 	// fleetContainFactor is the acceptance bound: every non-cohort node's
 	// peak p95 must stay within this factor of its baseline while the
 	// cohort degrades and rolls back.
@@ -85,9 +85,9 @@ func (o *memOS) SetNice(tid, nice int) error {
 	o.nices[tid] = nice
 	return nil
 }
-func (o *memOS) EnsureCgroup(string) error     { return nil }
-func (o *memOS) SetShares(string, int) error   { return nil }
-func (o *memOS) MoveThread(int, string) error  { return nil }
+func (o *memOS) EnsureCgroup(string) error    { return nil }
+func (o *memOS) SetShares(string, int) error  { return nil }
+func (o *memOS) MoveThread(int, string) error { return nil }
 func (o *memOS) nice(tid int) int {
 	o.mu.Lock()
 	defer o.mu.Unlock()

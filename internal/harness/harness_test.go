@@ -160,8 +160,8 @@ func TestHighlights(t *testing.T) {
 
 func TestExperimentRegistry(t *testing.T) {
 	all := All()
-	if len(all) != 25 {
-		t.Errorf("experiments = %d, want 25", len(all))
+	if len(all) != 24 {
+		t.Errorf("experiments = %d, want 24", len(all))
 	}
 	seen := map[string]bool{}
 	for _, e := range all {

@@ -14,12 +14,12 @@ import (
 )
 
 // The traceoverhead experiment prices the span layer on the hot path: two
-// copies of the 256-binding parallel decision stack from the scale
-// experiment — one with no recorder attached (the single nil-pointer test
-// per instrumentation site), one with a full ring recorder in production
-// configuration (slow-span floor on, so a healthy cycle emits its cycle
-// root, slow fetches, and slow/failed binding phases) — are stepped on
-// the host clock in interleaved pairs. The acceptance bound mirrors the
+// copies of a 256-binding parallel decision stack over the synthetic
+// drivers of scale.go — one with no recorder attached (the single
+// nil-pointer test per instrumentation site), one with a full ring
+// recorder in production configuration (slow-span floor on, so a healthy
+// cycle emits its cycle root, slow fetches, and slow/failed binding
+// phases) — are stepped on the host clock in interleaved pairs. The acceptance bound mirrors the
 // tracing design goal: tracing-on cycle p95 must stay within
 // traceMaxRatio of tracing-off.
 //
@@ -86,13 +86,12 @@ type traceRun struct {
 	mw    *core.Middleware
 }
 
-// percentile reads p from sorted durations (the scale experiment's
-// convention: index (n-1)*p/100).
+// percentile reads p from sorted durations (index (n-1)*p/100).
 func (t traceRun) percentile(p int) time.Duration {
 	return t.durs[(len(t.durs)-1)*p/100]
 }
 
-// buildTraceStack builds one 256-binding parallel stack (scale experiment
+// buildTraceStack builds one 256-binding parallel stack (synthetic
 // drivers: modeled fetch round trip, coalesced writes), optionally with a
 // production-configured recorder attached.
 func buildTraceStack(n, warmupSteps int, traced bool, seed uint64) (traceRun, error) {
@@ -104,7 +103,7 @@ func buildTraceStack(n, warmupSteps int, traced bool, seed uint64) (traceRun, er
 	})
 	mw.SetWriteGate(core.NewDriverGate())
 	for i := 0; i < n; i++ {
-		drv := newScaleDriver(i, warmup, scaleFetchLatency, scaleChurnEvery)
+		drv := newScaleDriver(i, warmup, scaleFetchLatency)
 		co := core.NewCoalescer(cnt, nil)
 		if err := mw.Bind(core.Binding{
 			Policy:     core.GroupPerQuery(core.NewQSPolicy()),

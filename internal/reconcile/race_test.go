@@ -24,7 +24,7 @@ func (d *raceDriver) Fetch(metric string, _ time.Duration) (core.EntityValues, e
 // detector: the middleware's step loop (whose breaker half-open probes
 // re-apply through the translator) runs concurrently with reconcile
 // passes repairing the same entities, both writing through one shared
-// ApplyGate chain, while an interference goroutine scribbles over kernel
+// DriverGate.ExclusiveOS chain, while an interference goroutine scribbles over kernel
 // state. Run with -race; correctness check: once interference stops, one
 // final pass converges kernel state onto desired state.
 func TestMiddlewareReconcilerRace(t *testing.T) {
@@ -63,7 +63,7 @@ func runMiddlewareReconcilerRace(t *testing.T, wrap func(core.OSInterface) core.
 	if wrap != nil {
 		backend = wrap(backend)
 	}
-	gate := core.NewApplyGate(RecordOS(core.AuditOS(backend, trail), state, ident, nil))
+	gate := core.NewDriverGate().ExclusiveOS(RecordOS(core.AuditOS(backend, trail), state, ident, nil))
 
 	drv := &raceDriver{}
 	prios := core.LogicalSchedule{}

@@ -61,7 +61,7 @@ const DefaultMaxRepairsPerPass = 64
 type Config struct {
 	// OS is the write path for repairs — the SAME gated chain the
 	// middleware's translators use, so repairs and applies serialize
-	// (core.ApplyGate) and flush the chain's value caches
+	// (core.DriverGate.ExclusiveOS) and flush the chain's value caches
 	// (core.CacheInvalidator) before re-applying.
 	OS core.OSInterface
 	// Observer reads actual kernel state (the ungated backend is fine:
@@ -175,7 +175,7 @@ type pass struct {
 // Reconcile runs one pass: observe every desired entry, classify drift,
 // repair within budget, forget the vanished. Safe to call from a
 // different goroutine than the middleware's Step loop *provided* cfg.OS
-// is an ApplyGate chain.
+// is a DriverGate.ExclusiveOS chain.
 func (r *Reconciler) Reconcile() PassResult {
 	start := r.cfg.Clock()
 	act := r.cfg.Spans.StartRoot(r.cfg.Now(), "reconcile")

@@ -199,7 +199,7 @@ func (k *fakeKernel) InCgroup(tid int, name string) (bool, error) {
 // values and skips kernel writes it believes redundant — exactly the
 // behavior that makes external drift sticky unless the reconciler
 // invalidates. Synchronized because the race test drives it through an
-// ApplyGate from two goroutines (the gate serializes, but the fake stays
+// exclusive gate from two goroutines (the gate serializes, but the fake stays
 // honest on its own).
 type cachedOS struct {
 	mu     sync.Mutex
@@ -303,7 +303,7 @@ func newWorld(t *testing.T, cfg func(*Config)) *world {
 		}
 		return id
 	}
-	w.os = core.NewApplyGate(RecordOS(w.cached, state, ident, nil))
+	w.os = core.NewDriverGate().ExclusiveOS(RecordOS(w.cached, state, ident, nil))
 	c := Config{
 		OS:        w.os,
 		Observer:  w.kernel,

@@ -5,9 +5,9 @@ import "lachesis/internal/core"
 // RecordingOS wraps an OSInterface so every successful control write is
 // mirrored into a DesiredState — the middleware's intent is captured at
 // the exact point it becomes kernel state, with no translator changes.
-// Wrap it *inside* the ApplyGate and around the audit wrapper:
+// Wrap it *inside* the gate's exclusive view and around the audit wrapper:
 //
-//	gated := core.NewApplyGate(reconcile.RecordOS(core.AuditOS(ctl, trail), state, ident, names))
+//	gated := gate.ExclusiveOS(reconcile.RecordOS(core.AuditOS(ctl, trail), state, ident, names))
 //
 // ident supplies the thread identity token (core.Observer.ThreadIdentity)
 // at record time, so desired entries are keyed to the thread occupying

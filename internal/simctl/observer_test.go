@@ -187,7 +187,7 @@ func TestReconcilerRunnerHealsInterference(t *testing.T) {
 		}
 		return id
 	}
-	gated := core.NewApplyGate(reconcile.RecordOS(a, state, ident, nil))
+	gated := core.NewDriverGate().ExclusiveOS(reconcile.RecordOS(a, state, ident, nil))
 
 	tids := make([]simos.ThreadID, 4)
 	for i := range tids {
