@@ -381,6 +381,57 @@ func BenchmarkNormalizeToNice(b *testing.B) {
 	}
 }
 
+// discardOS is an OS chain that accepts every op and does nothing, so
+// BenchmarkTranslatorApply prices the translators alone.
+type discardOS struct{}
+
+func (discardOS) SetNice(int, int) error       { return nil }
+func (discardOS) EnsureCgroup(string) error    { return nil }
+func (discardOS) SetShares(string, int) error  { return nil }
+func (discardOS) MoveThread(int, string) error { return nil }
+
+// BenchmarkTranslatorApply is one translator apply on a stable key set —
+// the steady state of a decision cycle — for each built-in translator at a
+// fleet binding's width (4 operators) and lachesisd's (2048): ns/op and
+// allocs/op. The shares translator runs per-operator groups, the combined
+// one a group per query of four operators.
+func BenchmarkTranslatorApply(b *testing.B) {
+	for _, n := range []int{4, 2048} {
+		ents := make(map[string]core.Entity, n)
+		sched := core.Schedule{Scale: core.ScaleLinear, Single: make(map[string]float64, n), Groups: map[string]core.Group{}}
+		for i := 0; i < n; i++ {
+			name, query := fmt.Sprintf("op%04d", i), fmt.Sprintf("query-q%03d", i/4)
+			ents[name] = core.Entity{Name: name, Query: query, Thread: i + 1}
+			sched.Single[name] = float64(i * 7 % 13)
+			g := sched.Groups[query]
+			sched.Groups[query] = core.Group{Priority: 1, Ops: append(g.Ops, name)}
+		}
+		perOp := core.Schedule{Scale: sched.Scale, Single: sched.Single}
+		for _, c := range []struct {
+			name  string
+			tr    core.Translator
+			sched core.Schedule
+		}{
+			{"nice", core.NewNiceTranslator(discardOS{}), perOp},
+			{"shares", core.NewSharesTranslator(discardOS{}, 0, 0), perOp},
+			{"combined", core.NewCombinedTranslator(discardOS{}, 0, 0), sched},
+		} {
+			b.Run(fmt.Sprintf("%s/%d", c.name, n), func(b *testing.B) {
+				if err := c.tr.Apply(c.sched, ents); err != nil {
+					b.Fatal(err)
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if err := c.tr.Apply(c.sched, ents); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	}
+}
+
 func BenchmarkStoreRecord(b *testing.B) {
 	s := metrics.NewStore(time.Second)
 	b.ReportAllocs()

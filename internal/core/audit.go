@@ -415,6 +415,28 @@ func AuditOS(inner OSInterface, trail *AuditTrail) OSInterface {
 
 func intp(v int) *int { return &v }
 
+// niceValues backs nicep: one shared, read-only int per nice level, so an
+// audited renice allocates nothing. Consumers of AuditEvent read through
+// OldNice/NewNice and must not write through them.
+var niceValues = func() (t [niceMax - niceMin + 1]int) {
+	for i := range t {
+		t[i] = niceMin + i
+	}
+	return t
+}()
+
+// nicep returns a pointer to v for an event's OldNice/NewNice: into
+// niceValues for a valid nice level, freshly boxed otherwise. The fallback
+// boxes a copy so that v itself never escapes — returning &v would move
+// it to the heap on every call, table hit or not.
+func nicep(v int) *int {
+	if v >= niceMin && v <= niceMax {
+		return &niceValues[v-niceMin]
+	}
+	w := v
+	return &w
+}
+
 func outcome(err error) string {
 	if err == nil {
 		return AuditOutcomeOK
@@ -436,9 +458,9 @@ func (a *auditedOS) SetNice(tid, nice int) error {
 		a.nices[tid] = nice
 		a.mu.Unlock()
 	}
-	e := AuditEvent{Kind: AuditKindNice, Thread: tid, NewNice: intp(nice), Outcome: outcome(err)}
+	e := AuditEvent{Kind: AuditKindNice, Thread: tid, NewNice: nicep(nice), Outcome: outcome(err)}
 	if known {
-		e.OldNice = intp(old)
+		e.OldNice = nicep(old)
 	}
 	a.trail.Record(e)
 	return err

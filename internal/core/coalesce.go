@@ -126,8 +126,12 @@ func (b *coalesceBatch) empty() bool {
 	return len(b.ensures)+len(b.shares)+len(b.moves)+len(b.nices)+len(b.removes)+len(b.restores) == 0
 }
 
-// reset clears the batch for reuse, retaining map buckets.
+// reset clears the batch for reuse, retaining map buckets. The steady-state
+// batch is already empty: every op was suppressed as it arrived.
 func (b *coalesceBatch) reset() {
+	if b.empty() {
+		return
+	}
 	clear(b.ensures)
 	clear(b.shares)
 	clear(b.moves)
@@ -138,12 +142,26 @@ func (b *coalesceBatch) reset() {
 
 // coalesceFlushScratch is Flush's reusable ordering scratch. movesInto
 // retains historical group keys with truncated slices (bounded by the
-// group universe), so a stable group set refills without allocating.
+// group universe), so a stable group set refills without allocating; a
+// flush truncates the lists it filled as it issues them (takeMoves), so
+// between flushes every list is empty.
 type coalesceFlushScratch struct {
 	groupSet  map[string]bool
 	movesInto map[string][]int
 	tids      []int
 	keys      []string
+}
+
+// takeMoves returns the threads this flush moves into g, sorted, and
+// empties g's list for the next flush (the returned slice stays valid
+// until then).
+func (sc *coalesceFlushScratch) takeMoves(g string) []int {
+	tids := sc.movesInto[g]
+	if len(tids) > 0 {
+		sort.Ints(tids)
+		sc.movesInto[g] = tids[:0]
+	}
+	return tids
 }
 
 // NewCoalescer wraps inner with write coalescing. seed may be nil (cold
@@ -262,9 +280,6 @@ func (c *Coalescer) Flush() error {
 		sc.movesInto = make(map[string][]int)
 	}
 	clear(sc.groupSet)
-	for g, tids := range sc.movesInto {
-		sc.movesInto[g] = tids[:0]
-	}
 	for g := range buf.ensures {
 		sc.groupSet[g] = true
 	}
@@ -289,9 +304,7 @@ func (c *Coalescer) Flush() error {
 		if s, ok := buf.shares[g]; ok {
 			errs = coalesceErr(errs, "shares", g, c.setSharesLocked(g, s))
 		}
-		tids := sc.movesInto[g]
-		sort.Ints(tids)
-		for _, tid := range tids {
+		for _, tid := range sc.takeMoves(g) {
 			errs = coalesceErrTID(errs, "move", tid, c.moveLocked(tid, g))
 		}
 	}
@@ -340,9 +353,7 @@ func (c *Coalescer) flushBatchLocked(buf *coalesceBatch, sc *coalesceFlushScratc
 				c.countSuppressed()
 			}
 		}
-		tids := sc.movesInto[g]
-		sort.Ints(tids)
-		for _, tid := range tids {
+		for _, tid := range sc.takeMoves(g) {
 			if c.moveNeeded(tid, g) {
 				ops = append(ops, ControlOp{Kind: OpMoveThread, Thread: tid, Cgroup: g})
 			} else {

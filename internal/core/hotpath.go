@@ -136,8 +136,12 @@ func (m *Middleware) workerPool() *indexPool {
 // cycle: entity and per-metric maps are cleared in place so a stable
 // entity set re-inserts without allocating.
 func (bp *boundPolicy) resetViewScratch() {
+	// Two lazy makes: a successful run swaps viewEntities with lastEntities
+	// (nil until the second success), viewMerged stays.
 	if bp.viewEntities == nil {
 		bp.viewEntities = make(map[string]Entity)
+	}
+	if bp.viewMerged == nil {
 		bp.viewMerged = make(map[string]EntityValues)
 	}
 	clear(bp.viewEntities)

@@ -106,6 +106,49 @@ func TestSteadyCycleZeroAllocs(t *testing.T) {
 	}
 }
 
+// TestChurnCycleThroughAuditZeroAllocs: priorities move every cycle, so
+// renices pass the coalescer and AuditOS records each one with its old and
+// new value — still without an allocation (the nice pointers of an audit
+// event come from a shared table).
+func TestChurnCycleThroughAuditZeroAllocs(t *testing.T) {
+	os := &nopOS{}
+	trail := NewAuditTrail(0, nil)
+	mw := NewMiddleware(nil)
+	defer mw.Close()
+	mw.SetWriteGate(NewDriverGate())
+	mw.SetAudit(trail)
+	for i := 0; i < 8; i++ {
+		co := NewCoalescer(AuditOS(os, trail), nil)
+		if err := mw.Bind(Binding{
+			Policy:     GroupPerQuery(NewQSPolicy()),
+			Translator: NewCombinedTranslator(co, 0, 0),
+			Coalescer:  co,
+			Drivers:    []Driver{newBenchDriver("spe"+strconv.Itoa(i), 1000+i*4, 4)},
+			Period:     time.Second,
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	now := time.Duration(0)
+	step := func() {
+		if _, err := mw.Step(now); err != nil {
+			t.Fatal(err)
+		}
+		now += time.Second
+	}
+	for i := 0; i < 5; i++ {
+		step()
+	}
+	writes, events := os.nices.Load(), trail.Total()
+	if avg := testing.AllocsPerRun(20, step); avg != 0 {
+		t.Errorf("churning cycle through the audit wrapper allocates %.1f times, want 0", avg)
+	}
+	// Every renice that reached the kernel was a decision, and was audited.
+	if w, e := os.nices.Load()-writes, trail.Total()-events; w < 21*8 || e < w {
+		t.Errorf("scenario lost its teeth: %d renices, %d audit events over 21 cycles", w, e)
+	}
+}
+
 // TestSteadyCycleZeroAllocsSequential covers the same guarantee with the
 // parallel pipeline disabled (the sequential baseline the scale
 // experiment compares against).

@@ -127,9 +127,8 @@ func ClampRecorder(reg *telemetry.Registry, trail *AuditTrail, binding string) C
 			ctr.Inc()
 		}
 		if trail != nil {
-			n := clamped
 			trail.Record(AuditEvent{
-				Kind: AuditKindClamp, Entity: entity, NewNice: &n,
+				Kind: AuditKindClamp, Entity: entity, NewNice: nicep(clamped),
 				Outcome: fmt.Sprintf("policy output %g clamped to nice %d", raw, clamped),
 			})
 		}

@@ -511,9 +511,11 @@ type BindingStepStats struct {
 	Translator string
 	// Entities is the entity count of the binding's view.
 	Entities int
-	// Schedule is the wall-clock duration of the policy run.
+	// Schedule is the wall-clock duration of the policy run, the build of
+	// its view included.
 	Schedule time.Duration
-	// Apply is the wall-clock duration of the translator apply.
+	// Apply is the wall-clock duration of the translator apply: translate,
+	// guard validation and coalescer flush.
 	Apply time.Duration
 	// Quarantined marks a binding skipped by an open breaker (no phases
 	// ran).
@@ -881,7 +883,8 @@ func distinctDrivers(bps []*boundPolicy) []Driver {
 // The view and its maps are binding-owned scratch, cleared and refilled in
 // place each cycle — with a stable entity set, a steady-state build does
 // not touch the allocator. The returned *View is valid until the binding's
-// next run; nothing downstream retains it (lastEntities is a copy).
+// next run; nothing downstream retains it (a successful run takes the
+// entity map over as lastEntities and leaves the previous one as scratch).
 func (m *Middleware) buildView(now time.Duration, bp *boundPolicy) *View {
 	bp.resetViewScratch()
 	entities := bp.viewEntities

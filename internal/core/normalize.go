@@ -38,97 +38,123 @@ type ClampObserver func(entity string, raw float64, clamped int)
 
 // NormalizeToNiceObserved is NormalizeToNice with clamp observation:
 // every output that falls outside [-20, 19] before clamping (including
-// NaN/Inf garbage, which clamps to the weakest nice) is reported to obs.
+// NaN/Inf garbage, which clamps to the weakest nice) is reported to obs,
+// in sorted entity order.
 func NormalizeToNiceObserved(priorities map[string]float64, scale Scale, obs ClampObserver) map[string]int {
-	out := make(map[string]int, len(priorities))
-	var sc normScratch
-	normalizeToNiceInto(priorities, scale, obs, out, &sc)
+	keys, vals, _ := orderedValues(nil, nil, priorities, identity)
+	return zipInts(keys, normalizeNice(keys, vals, scale, obs, nil))
+}
+
+// NormalizeToShares converts group priorities into cgroup cpu.shares in
+// [lo, hi], min-max (optionally on logarithms) with higher priority
+// getting more shares.
+func NormalizeToShares(priorities map[string]float64, scale Scale, lo, hi int) map[string]int {
+	keys, vals, _ := orderedValues(nil, nil, priorities, identity)
+	return zipInts(keys, normalizeShares(vals, scale, lo, hi, nil))
+}
+
+func identity(v float64) float64 { return v }
+
+func zipInts(keys []string, vals []int) map[string]int {
+	out := make(map[string]int, len(keys))
+	for i, k := range keys {
+		out[k] = vals[i]
+	}
+	return out
+}
+
+// orderedValues returns m's keys in sorted order and, at the same indexes,
+// the priorities of its values. keys is the order of an earlier call: it is
+// reused when it still is m's key set — as many keys as m has, each of
+// them present, checked by the lookups that read the values — and
+// re-collected and re-sorted otherwise, which rebuilt reports. Both slices
+// are reused within capacity.
+func orderedValues[V any](keys []string, vals []float64, m map[string]V, prio func(V) float64) (_ []string, _ []float64, rebuilt bool) {
+	vals = vals[:0]
+	if len(keys) == len(m) {
+		for _, k := range keys {
+			v, ok := m[k]
+			if !ok {
+				break
+			}
+			vals = append(vals, prio(v))
+		}
+		if len(vals) == len(keys) {
+			return keys, vals, false
+		}
+		vals = vals[:0]
+	}
+	keys = appendSortedKeys(keys, m)
+	for _, k := range keys {
+		vals = append(vals, prio(m[k]))
+	}
+	return keys, vals, true
+}
+
+// normalizeNice is the nice normalization over slices: vals[i] is the
+// priority of keys[i] and is consumed as scratch, the result (out, reused
+// within capacity) carries its nice value at the same index. Clamp events
+// reach obs in index order.
+func normalizeNice(keys []string, vals []float64, scale Scale, obs ClampObserver, out []int) []int {
+	// Linear: higher priority -> lower nice, so min-max inverts. Log: the
+	// paper's formula when every value fits the 40 nice levels, else
+	// min-max on the log-domain values (the paper's "additional min-max
+	// normalization might still be required").
+	if scale != ScaleLog {
+		minMaxInPlace(vals, niceMin, niceMax, true)
+	} else if !logNiceInPlace(vals) {
+		minMaxInPlace(vals, niceMin, niceMax, false)
+	}
+	out = out[:0]
+	for i, f := range vals {
+		out = append(out, clampNiceObserved(keys[i], f, obs))
+	}
 	return out
 }
 
-// normScratch holds the intermediate maps of one normalization, reused
-// across cycles by translators so a steady-state normalization does not
-// touch the allocator.
-type normScratch struct {
-	a, b map[string]float64
-}
-
-// maps returns the two cleared scratch maps, creating them on first use.
-func (sc *normScratch) maps() (a, b map[string]float64) {
-	if sc.a == nil {
-		sc.a = make(map[string]float64)
-		sc.b = make(map[string]float64)
-	}
-	clear(sc.a)
-	clear(sc.b)
-	return sc.a, sc.b
-}
-
-// normalizeToNiceInto is NormalizeToNiceObserved writing into out (which
-// it clears), with intermediates in sc instead of fresh maps.
-func normalizeToNiceInto(priorities map[string]float64, scale Scale, obs ClampObserver, out map[string]int, sc *normScratch) {
-	clear(out)
-	if len(priorities) == 0 {
-		return
-	}
-	a, b := sc.maps()
-	switch scale {
-	case ScaleLog:
-		shifted := shiftPositiveInto(priorities, a)
-		pmax := math.Inf(-1)
-		for _, v := range shifted {
-			pmax = math.Max(pmax, v)
-		}
-		logPmax := math.Log(pmax)
-		fits := true
-		for e, v := range shifted {
-			f := float64(niceMin) + (logPmax-math.Log(v))/log125
-			b[e] = f
-			if f > float64(niceMax) {
-				fits = false
-			}
-		}
-		if fits {
-			for e, f := range b {
-				out[e] = clampNiceObserved(e, f, obs)
-			}
-			return
-		}
-		// Spread too large for 40 nice values: min-max the log-domain
-		// values into the range (the paper's "additional min-max
-		// normalization might still be required"). a's contents (the
-		// shifted values) are no longer needed — reuse it as the min-max
-		// destination.
-		clear(a)
-		minMaxToRangeFInto(b, float64(niceMin), float64(niceMax), false, a)
-		for e, f := range a {
-			out[e] = clampNiceObserved(e, f, obs)
-		}
-	default: // ScaleLinear
-		// Higher priority -> lower nice: invert during min-max.
-		minMaxToRangeFInto(priorities, float64(niceMin), float64(niceMax), true, a)
-		for e, f := range a {
-			out[e] = clampNiceObserved(e, f, obs)
+// normalizeShares is the cpu.shares normalization over slices, with the
+// conventions of normalizeNice.
+func normalizeShares(vals []float64, scale Scale, lo, hi int, out []int) []int {
+	if scale == ScaleLog {
+		shiftPositiveInPlace(vals)
+		for i, v := range vals {
+			vals[i] = math.Log(v)
 		}
 	}
-}
-
-// clampRange clamps the min-max outputs into the nice range, reporting
-// every correction. In-range inputs always round in-range; only garbage
-// (NaN/Inf priorities surviving min-max) lands here out of range.
-func clampRange(in map[string]float64, obs ClampObserver) map[string]int {
-	out := make(map[string]int, len(in))
-	for e, f := range in {
-		out[e] = clampNiceObserved(e, f, obs)
+	minMaxInPlace(vals, float64(lo), float64(hi), false)
+	out = out[:0]
+	for _, v := range vals {
+		out = append(out, int(math.Round(v)))
 	}
 	return out
+}
+
+// logNiceInPlace replaces each priority by its raw nice value under the
+// paper's formula and reports whether all of them fit the nice range.
+func logNiceInPlace(vals []float64) (fits bool) {
+	shiftPositiveInPlace(vals)
+	pmax := math.Inf(-1)
+	for _, v := range vals {
+		pmax = math.Max(pmax, v)
+	}
+	logPmax := math.Log(pmax)
+	fits = true
+	for i, v := range vals {
+		f := float64(niceMin) + (logPmax-math.Log(v))/log125
+		vals[i] = f
+		if f > float64(niceMax) {
+			fits = false
+		}
+	}
+	return fits
 }
 
 // clampNiceObserved clamps one raw nice value and reports the correction
-// when the value was out of range. NaN (a garbage policy output) clamps
-// to the weakest nice rather than relying on the platform-defined
-// float-to-int conversion, which would hand the broken operator the
-// strongest priority.
+// when the value was out of range. In-range inputs always round in-range;
+// only garbage (NaN/Inf priorities surviving min-max) lands here out of
+// range. NaN clamps to the weakest nice rather than relying on the
+// platform-defined float-to-int conversion, which would hand the broken
+// operator the strongest priority.
 func clampNiceObserved(entity string, f float64, obs ClampObserver) int {
 	n := clampNice(int(math.Round(f)))
 	if math.IsNaN(f) {
@@ -140,90 +166,31 @@ func clampNiceObserved(entity string, f float64, obs ClampObserver) int {
 	return n
 }
 
-// NormalizeToShares converts group priorities into cgroup cpu.shares in
-// [lo, hi], min-max (optionally on logarithms) with higher priority
-// getting more shares.
-func NormalizeToShares(priorities map[string]float64, scale Scale, lo, hi int) map[string]int {
-	out := make(map[string]int, len(priorities))
-	var sc normScratch
-	normalizeToSharesInto(priorities, scale, lo, hi, out, &sc)
-	return out
-}
-
-// normalizeToSharesInto is NormalizeToShares writing into out (which it
-// clears), with intermediates in sc.
-func normalizeToSharesInto(priorities map[string]float64, scale Scale, lo, hi int, out map[string]int, sc *normScratch) {
-	clear(out)
-	if len(priorities) == 0 {
-		return
-	}
-	a, b := sc.maps()
-	vals := priorities
-	if scale == ScaleLog {
-		shifted := shiftPositiveInto(priorities, a)
-		for e, v := range shifted {
-			b[e] = math.Log(v)
-		}
-		vals = b
-		clear(a)
-	}
-	minMaxToRangeFInto(vals, float64(lo), float64(hi), false, a)
-	for e, v := range a {
-		out[e] = int(math.Round(v))
-	}
-}
-
-// shiftPositive returns values shifted so the minimum is strictly
-// positive, preserving order (log normalization needs positive inputs).
-func shiftPositive(in map[string]float64) map[string]float64 {
-	return shiftPositiveInto(in, make(map[string]float64, len(in)))
-}
-
-// shiftPositiveInto is shiftPositive with a caller-supplied destination:
-// when no shift is needed it returns in untouched (dst unused), otherwise
-// it fills and returns dst.
-func shiftPositiveInto(in, dst map[string]float64) map[string]float64 {
+// shiftPositiveInPlace shifts vals so the minimum is strictly positive,
+// preserving order (log normalization needs positive inputs).
+func shiftPositiveInPlace(vals []float64) {
 	min := math.Inf(1)
-	for _, v := range in {
+	for _, v := range vals {
 		min = math.Min(min, v)
 	}
 	if min > 0 {
-		return in
+		return
 	}
 	shift := -min + 1e-9
-	for e, v := range in {
-		dst[e] = v + shift
+	for i, v := range vals {
+		vals[i] = v + shift
 	}
-	return dst
 }
 
-// minMaxToRange maps values onto integer [lo, hi]. With invert=true the
-// largest input maps to lo (used for nice, where small means strong).
-// Equal inputs map to the middle of the range.
-func minMaxToRange(in map[string]float64, lo, hi float64, invert bool) map[string]int {
-	out := make(map[string]int, len(in))
-	for e, v := range minMaxToRangeF(in, lo, hi, invert) {
-		out[e] = int(math.Round(v))
-	}
-	return out
-}
-
-// minMaxToRangeF is minMaxToRange before rounding: callers that need to
-// detect garbage inputs (NaN propagates through min-max) inspect the raw
-// values before discretizing.
-func minMaxToRangeF(in map[string]float64, lo, hi float64, invert bool) map[string]float64 {
-	out := make(map[string]float64, len(in))
-	minMaxToRangeFInto(in, lo, hi, invert, out)
-	return out
-}
-
-// minMaxToRangeFInto is minMaxToRangeF into a caller-supplied map.
-func minMaxToRangeFInto(in map[string]float64, lo, hi float64, invert bool, out map[string]float64) {
+// minMaxInPlace maps vals onto [lo, hi]. With invert=true the largest
+// input maps to lo (used for nice, where small means strong). Equal inputs
+// map to the middle of the range.
+func minMaxInPlace(vals []float64, lo, hi float64, invert bool) {
 	// NaN inputs are excluded from the min/max so one garbage value
 	// cannot poison the span; they propagate as NaN outputs for the
 	// clamp observer to attribute.
 	min, max := math.Inf(1), math.Inf(-1)
-	for _, v := range in {
+	for _, v := range vals {
 		if math.IsNaN(v) {
 			continue
 		}
@@ -231,9 +198,8 @@ func minMaxToRangeFInto(in map[string]float64, lo, hi float64, invert bool, out 
 		max = math.Max(max, v)
 	}
 	span := max - min
-	for e, v := range in {
+	for i, v := range vals {
 		if math.IsNaN(v) {
-			out[e] = v
 			continue
 		}
 		var frac float64 // 0 = weakest, 1 = strongest
@@ -243,9 +209,9 @@ func minMaxToRangeFInto(in map[string]float64, lo, hi float64, invert bool, out 
 			frac = 0.5
 		}
 		if invert {
-			out[e] = hi - frac*(hi-lo)
+			vals[i] = hi - frac*(hi-lo)
 		} else {
-			out[e] = lo + frac*(hi-lo)
+			vals[i] = lo + frac*(hi-lo)
 		}
 	}
 }

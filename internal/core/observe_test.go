@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"lachesis/internal/span"
 	"lachesis/internal/telemetry"
 )
 
@@ -306,5 +307,76 @@ func TestConcurrentStepsSharedRegistry(t *testing.T) {
 	}
 	if got := shared.Histogram(MetricStepSeconds).Count(); got != loops*steps {
 		t.Fatalf("step histogram count = %d, want %d", got, loops*steps)
+	}
+}
+
+// clockBinding binds one QS binding whose write chain has a guard and a
+// coalescer, so every phase of runBinding executes.
+func clockBinding(t *testing.T, mw *Middleware) {
+	t.Helper()
+	co := NewCoalescer(newFakeOS(), nil)
+	g := &bufferGuard{inner: co}
+	if err := mw.Bind(Binding{
+		Policy: NewQSPolicy(), Translator: NewNiceTranslator(g),
+		Drivers: []Driver{upDriver("eng", 1)}, Period: time.Second,
+		Coalescer: co, Guard: g,
+	}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestHealthyBindingClockReads pins the clock budget of the decision path:
+// with no recorder attached a healthy binding reads the clock three times
+// (start, schedule end, after the flush) beside the two reads around each
+// fetch and the two around the Step.
+func TestHealthyBindingClockReads(t *testing.T) {
+	mw := NewMiddleware(nil)
+	reads := 0
+	clock := fakeClock()
+	mw.nowFn = func() time.Time { reads++; return clock() }
+	clockBinding(t, mw)
+	for i := 0; i < 3; i++ {
+		reads = 0
+		stats, err := mw.Step(time.Duration(i) * time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		const step, fetch, binding = 2, 2, 3
+		if reads != step+fetch+binding {
+			t.Errorf("cycle %d read the clock %d times, want %d", i, reads, step+fetch+binding)
+		}
+		// One fake millisecond per read: the schedule spans b0..t1, the apply
+		// t1..end with nothing read in between.
+		if bst := stats.Bindings[0]; bst.Schedule != time.Millisecond || bst.Apply != time.Millisecond {
+			t.Errorf("cycle %d: schedule %v apply %v, want 1ms each", i, bst.Schedule, bst.Apply)
+		}
+	}
+}
+
+// TestRecorderStillSeesEveryPhase: the phase boundaries a healthy binding
+// no longer reads are still read for a recorder — at floor 0 every phase
+// emits a span with a measured duration.
+func TestRecorderStillSeesEveryPhase(t *testing.T) {
+	mw := NewMiddleware(nil)
+	mw.nowFn = fakeClock()
+	clockBinding(t, mw)
+	rec := span.New(span.Config{Process: "test", Seed: 3})
+	mw.SetSpans(rec)
+	stats, err := mw.Step(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	walls := map[string]time.Duration{}
+	for _, sp := range rec.Snapshot() {
+		walls[sp.Name] = sp.Wall
+	}
+	for _, name := range []string{"schedule", "apply", "guard", "flush", "binding"} {
+		if walls[name] <= 0 {
+			t.Errorf("span %q: wall %v, want a measured duration (spans: %v)", name, walls[name], walls)
+		}
+	}
+	// BindingStepStats.Apply keeps covering translate + guard + flush.
+	if bst := stats.Bindings[0]; bst.Apply < walls["apply"]+walls["guard"]+walls["flush"] {
+		t.Errorf("Apply = %v < apply %v + guard %v + flush %v", bst.Apply, walls["apply"], walls["guard"], walls["flush"])
 	}
 }

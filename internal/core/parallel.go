@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"maps"
 	"time"
 
 	"lachesis/internal/span"
@@ -123,6 +122,7 @@ func (m *Middleware) fetchOne(now time.Duration, d Driver) (map[string]EntityVal
 	case r := <-done:
 		return r.vals, r.err
 	case <-timer.C:
+		m.provider.abandon(d.Name())
 		if m.watchdog != nil {
 			m.watchdog.PhaseOverrun(d.Name(), PhaseFetch, timeout)
 		}
@@ -240,6 +240,8 @@ func (m *Middleware) cycleJob(i int) {
 	if ready {
 		m.runInOrder()
 	}
+	// Accounted after the bindings this fetch released have written.
+	ds.hFetch.Observe(ds.stat.Fetch)
 }
 
 // runInOrder is how bindings run wherever applies cannot be concurrent —
@@ -266,10 +268,9 @@ func (m *Middleware) runInOrder() {
 // fetchDriver updates one driver through the provider and settles its
 // state for the cycle: health counters, last-good values, and ds.vals —
 // what the driver's bindings read this cycle (nil when the driver is
-// unusable).
+// unusable). The fetch histogram is fed by cycleJob.
 func (m *Middleware) fetchDriver(now time.Duration, ds *driverState) {
 	r := m.tracedFetch(now, ds.d)
-	ds.hFetch.Observe(r.took)
 	ds.stat = DriverStepStats{Driver: ds.name, Fetch: r.took}
 	if r.err == nil {
 		ds.fails = 0
@@ -372,6 +373,12 @@ func (m *Middleware) runBinding(now time.Duration, bp *boundPolicy) bindingOutco
 	// first phase that emits; the span itself is recorded only on failure,
 	// slowness, or when a child emitted (emitBinding) — healthy bindings
 	// pay duration compares, no span allocations at all.
+	//
+	// A healthy binding reads the clock three times: b0 starts the binding
+	// and its schedule phase (the view build included), t1 ends the
+	// schedule and starts the apply, and one read after the flush ends the
+	// apply and the binding. The boundaries between translate, guard and
+	// flush are read only for a recorder (phaseEnd).
 	var bctx span.Context
 	b0 := m.nowFn()
 	childEmitted := false
@@ -394,14 +401,14 @@ func (m *Middleware) runBinding(now time.Duration, bp *boundPolicy) bindingOutco
 	view := m.buildView(now, bp)
 	out.entities = len(view.Entities)
 	bst.Entities = len(view.Entities)
-	t0 := m.nowFn()
 	sched, err := m.scheduleBounded(now, bp, view, m.phaseDeadline(PhaseSchedule))
-	bst.Schedule = m.nowFn().Sub(t0)
+	t1 := m.nowFn()
+	bst.Schedule = t1.Sub(b0)
 	if m.emitPhase(&bctx, now, "schedule", bst.Schedule, err) {
 		childEmitted = true
 	}
-	bp.hSchedule.Observe(bst.Schedule)
 	if err != nil {
+		bp.hSchedule.Observe(bst.Schedule)
 		m.ins.applyErrors.Inc()
 		err = fmt.Errorf("policy %s: %w", bp.policyName, err)
 		bst.Err = err.Error()
@@ -422,7 +429,6 @@ func (m *Middleware) runBinding(now time.Duration, bp *boundPolicy) bindingOutco
 	if bp.Guard != nil {
 		bp.Guard.BeginApply(now, bp.label, view)
 	}
-	t0 = m.nowFn()
 	var aerr error
 	// Apply deadlines require a guard: only its buffering makes the
 	// cancellation safe (no op has reached the OS chain yet).
@@ -431,30 +437,26 @@ func (m *Middleware) runBinding(now time.Duration, bp *boundPolicy) bindingOutco
 	} else {
 		aerr = m.safeApply(bp.Translator, sched, view.Entities)
 	}
-	if m.emitPhase(&bctx, now, "apply", m.nowFn().Sub(t0), aerr) {
-		childEmitted = true
-	}
+	t := m.phaseEnd(&bctx, now, "apply", t1, aerr, &childEmitted)
 	if bp.Guard != nil && !errors.Is(aerr, ErrPhaseDeadline) {
-		g0 := m.nowFn()
 		gerr := bp.Guard.FinishApply()
-		if m.emitPhase(&bctx, now, "guard", m.nowFn().Sub(g0), gerr) {
-			childEmitted = true
-		}
+		t = m.phaseEnd(&bctx, now, "guard", t, gerr, &childEmitted)
 		aerr = errors.Join(aerr, gerr)
 	}
 	if bp.Coalescer != nil {
 		// After a timed-out or guard-blocked apply the coalescer batch is
 		// empty (the guard released nothing), so Flush closes it without
 		// kernel writes and the last-applied mirror stays in force.
-		f0 := m.nowFn()
 		ferr := bp.Coalescer.Flush()
-		if m.emitPhase(&bctx, now, "flush", m.nowFn().Sub(f0), ferr) {
-			childEmitted = true
-		}
+		m.phaseEnd(&bctx, now, "flush", t, ferr, &childEmitted)
 		aerr = errors.Join(aerr, ferr)
 	}
-	bst.Apply = m.nowFn().Sub(t0)
+	end := m.nowFn()
+	bst.Apply = end.Sub(t1)
 	done()
+	// Accounting comes after the write, not before it: nothing between the
+	// metric sample and the kernel write waits for a histogram.
+	bp.hSchedule.Observe(bst.Schedule)
 	bp.hApply.Observe(bst.Apply)
 	m.auditRecord(AuditEvent{
 		At: now, Kind: AuditKindApply, Policy: bst.Policy, Translator: bst.Translator,
@@ -467,11 +469,11 @@ func (m *Middleware) runBinding(now time.Duration, bp *boundPolicy) bindingOutco
 		out.bst = bst
 		out.errs = append(out.errs, aerr)
 		m.recordFailure(bp, now, aerr)
-		m.emitBinding(bctx, now, bp.label, m.nowFn().Sub(b0), aerr, childEmitted)
+		m.emitBinding(bctx, now, bp.label, end.Sub(b0), aerr, childEmitted)
 		return out
 	}
 	out.bst = bst
-	m.emitBinding(bctx, now, bp.label, m.nowFn().Sub(b0), nil, childEmitted)
+	m.emitBinding(bctx, now, bp.label, end.Sub(b0), nil, childEmitted)
 	m.ins.policyRuns.Inc()
 	if bp.open {
 		// Successful half-open probe: the breaker closes.
@@ -487,13 +489,11 @@ func (m *Middleware) runBinding(now time.Duration, bp *boundPolicy) bindingOutco
 	bp.lastErr = nil
 	bp.lastSuccess = now
 	bp.haveSuccess = true
-	// Copy, don't alias: view.Entities is per-cycle scratch cleared on the
-	// binding's next run, while lastEntities must survive quarantine
-	// resets that happen cycles later.
-	if bp.lastEntities == nil {
-		bp.lastEntities = make(map[string]Entity, len(view.Entities))
-	}
-	clear(bp.lastEntities)
-	maps.Copy(bp.lastEntities, view.Entities)
+	// Swap, don't copy: this run's entity map becomes lastEntities, which
+	// must survive quarantine resets that happen cycles later, and the
+	// outgoing one becomes the scratch the binding's next run clears and
+	// refills. Failed runs do not swap, so lastEntities stays that of the
+	// last successful run.
+	bp.lastEntities, bp.viewEntities = bp.viewEntities, bp.lastEntities
 	return out
 }

@@ -586,6 +586,62 @@ func TestPipelineNoGateKeepsBindingOrder(t *testing.T) {
 	}
 }
 
+// TestPipelineAbandonedFetchKeepsLastGood: an abandoned fetch that
+// completes late makes the map the middleware still holds as last-good the
+// provider's spare buffer. The driver's next update must not recycle it: a
+// binding falling back to last-good values while that update runs (it is
+// abandoned too) has to read the complete, untouched map. Under -race the
+// recycling shows as a clear/read race; without it, as a schedule computed
+// from an emptied map.
+func TestPipelineAbandonedFetchKeepsLastGood(t *testing.T) {
+	d := newPipeDriver("d", 100)
+	// Fetch 0 answers at once; fetches 1 and 2 hang until released.
+	release := []chan struct{}{nil, make(chan struct{}), make(chan struct{})}
+	var calls atomic.Int32
+	d.fetch = func(time.Duration) error {
+		if ch := release[calls.Add(1)-1]; ch != nil {
+			<-ch
+		}
+		return nil
+	}
+	os := newTableOS()
+	mw := NewMiddleware(nil)
+	defer mw.Close()
+	mw.SetParallelism(Parallelism{FetchTimeout: 50 * time.Millisecond})
+	if err := mw.Bind(Binding{
+		Policy: NewQSPolicy(), Translator: NewNiceTranslator(os),
+		Drivers: []Driver{d}, Period: time.Second,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	// drain waits until the abandoned update has returned: it holds the
+	// driver's in-flight lock until then.
+	drain := func(ch chan struct{}) {
+		close(ch)
+		fl := mw.provider.flightLock(d.name)
+		fl.Lock()
+		defer fl.Unlock()
+	}
+	want := map[int]int{100: -20, 101: 19}
+
+	if err := await(t, stepAsync(mw, 0), "cycle 0"); err != nil {
+		t.Fatal(err)
+	}
+	for cycle := 1; cycle <= 2; cycle++ {
+		os.mu.Lock()
+		clear(os.nices)
+		os.mu.Unlock()
+		err := await(t, stepAsync(mw, time.Duration(cycle)*time.Second), "a cycle with a hung fetch")
+		if !errors.Is(err, ErrFetchTimeout) {
+			t.Fatalf("cycle %d: err = %v, want the fetch timeout", cycle, err)
+		}
+		if got := os.table(); !reflect.DeepEqual(got, want) {
+			t.Errorf("cycle %d scheduled %v from its last-good values, want %v", cycle, got, want)
+		}
+		drain(release[cycle])
+	}
+}
+
 // TestShippedDefaultsSteadyCycleZeroAllocs pins the allocation budget of
 // the configuration the binaries ship — default pool, write gate, audit
 // trail, AuditOS and a per-binding coalescer bracketing every apply — on a

@@ -50,6 +50,10 @@ type Provider struct {
 	metricsList []string
 	spare       map[string]map[string]EntityValues
 	ctxs        map[string]*ComputeCtx
+	// abandoned marks drivers whose caller gave up on an update (abandon):
+	// the caller no longer holds the map the provider returned last, so
+	// the driver's spare may be the very map the caller still reads.
+	abandoned map[string]bool
 }
 
 // NewProvider creates a provider over a metric registry (nil selects
@@ -66,6 +70,7 @@ func NewProvider(registry Registry) *Provider {
 		inflight:   make(map[string]*sync.Mutex),
 		spare:      make(map[string]map[string]EntityValues),
 		ctxs:       make(map[string]*ComputeCtx),
+		abandoned:  make(map[string]bool),
 	}
 }
 
@@ -106,6 +111,19 @@ func (p *Provider) flightLock(name string) *sync.Mutex {
 		p.inflight[name] = l
 	}
 	return l
+}
+
+// abandon tells the provider that the caller stopped waiting for a
+// driver's running update and will discard its result. The double buffer
+// assumes the caller holds the map returned last, which makes the one
+// before it — the spare — safe to clear and refill. An update whose result
+// is discarded breaks that: once it completes, the spare is the map the
+// caller still serves as last-good values. The driver's next update
+// therefore drops the spare instead of recycling it.
+func (p *Provider) abandon(driver string) {
+	p.mu.Lock()
+	p.abandoned[driver] = true
+	p.mu.Unlock()
 }
 
 // Values holds one update's computed metrics: driver -> metric -> entity
@@ -162,6 +180,12 @@ func (p *Provider) UpdateOne(now time.Duration, d Driver) (map[string]EntityValu
 	// and refilled, rotated with prev only on success so a failed update
 	// leaves prev and the rate window intact.
 	cache := p.spare[d.Name()]
+	if p.abandoned[d.Name()] {
+		// See abandon: the spare may still be read. Leave it to its reader.
+		delete(p.abandoned, d.Name())
+		delete(p.spare, d.Name())
+		cache = nil
+	}
 	p.mu.Unlock()
 
 	if ctx.Prev == nil {

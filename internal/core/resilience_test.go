@@ -381,6 +381,62 @@ func TestDegradedResetRestoresDefaults(t *testing.T) {
 	}
 }
 
+// refusableNice is a nice translator whose Apply can be made to fail while
+// its Reset keeps working.
+type refusableNice struct {
+	*NiceTranslator
+	refuse bool
+}
+
+func (t *refusableNice) Apply(s Schedule, ents map[string]Entity) error {
+	if t.refuse {
+		return errors.New("apply refused")
+	}
+	return t.NiceTranslator.Apply(s, ents)
+}
+
+// TestDegradedResetUsesLastSuccessfulEntities: a successful run hands its
+// entity map over as lastEntities by swap, and the map it displaces becomes
+// the next run's scratch. Failed runs — which build their view over a
+// changed entity set here — must leave lastEntities alone, so the reset
+// when the breaker opens covers exactly the entities of the last
+// successful run.
+func TestDegradedResetUsesLastSuccessfulEntities(t *testing.T) {
+	d := upDriver("eng", 1)
+	os := newFakeOS()
+	tr := &refusableNice{NiceTranslator: NewNiceTranslator(os)}
+	mw := NewMiddleware(nil)
+	mw.SetResilience(Resilience{FailureThreshold: 2, Degraded: DegradedReset})
+	if err := mw.Bind(Binding{
+		Policy: NewQSPolicy(), Translator: tr, Drivers: []Driver{d}, Period: time.Second,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	// Two successes, so both maps of the swap have been lastEntities once.
+	for _, now := range []time.Duration{0, time.Second} {
+		if _, err := mw.Step(now); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The SPE replaces operator b (tid 2) by c (tid 3) and applies start
+	// failing: the failing runs see {a, c}, which was never scheduled.
+	d.entities[1] = Entity{Name: "c", Driver: "eng", Query: "q", Thread: 3}
+	d.provided[MetricQueueSize] = EntityValues{"a": 5, "c": 1}
+	os.nices[3] = 7
+	tr.refuse = true
+	for _, now := range []time.Duration{2 * time.Second, 3 * time.Second} {
+		if _, err := mw.Step(now); err == nil {
+			t.Fatalf("t=%v: want the translator error", now)
+		}
+	}
+	if mw.Health().Bindings[0].State != BindingQuarantined {
+		t.Fatal("breaker should be open")
+	}
+	if os.nices[1] != 0 || os.nices[2] != 0 || os.nices[3] != 7 {
+		t.Errorf("nices after reset = %v, want tids 1 and 2 (the last successful run) at 0 and tid 3 untouched", os.nices)
+	}
+}
+
 // TestNiceTranslatorSkipsVanished: a thread that exits between listing and
 // setpriority (ESRCH) is a benign skip, not an error.
 func TestNiceTranslatorSkipsVanished(t *testing.T) {

@@ -71,6 +71,22 @@ func (m *Middleware) emitPhase(bctx *span.Context, now time.Duration, name strin
 	return true
 }
 
+// phaseEnd closes one of the phases inside a binding's apply (translate,
+// guard, flush), which began at start, and returns where the next one
+// begins. Only a trace consumes these boundaries, so the clock is read only
+// with a recorder attached; without one the phases run back to back
+// unmeasured.
+func (m *Middleware) phaseEnd(bctx *span.Context, now time.Duration, name string, start time.Time, err error, emitted *bool) time.Time {
+	if m.spans == nil {
+		return start
+	}
+	end := m.nowFn()
+	if m.emitPhase(bctx, now, name, end.Sub(start), err) {
+		*emitted = true
+	}
+	return end
+}
+
 // emitBinding closes a binding's span: it records only when the binding
 // failed, crossed the slow-span floor, or any of its phase children
 // emitted — an emitted child must never dangle from a suppressed parent.

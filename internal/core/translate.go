@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -60,12 +61,15 @@ type NiceTranslator struct {
 	os    OSInterface
 	clamp ClampObserver
 
-	// Reused per-apply scratch (a translator belongs to one binding, or
-	// shares its binding's execMu): normalization output, sorted keys,
-	// and normalization intermediates.
-	nices map[string]int
+	// keys is the sorted key order of the last schedule, kept while the key
+	// set stays the same (see orderedValues); vals and nices are the
+	// priorities and nice values at the same indexes. All three are reused
+	// across applies: a translator belongs to one binding, or shares its
+	// binding's execMu. A translator shared by bindings with different
+	// entities re-sorts on every apply.
 	keys  []string
-	norm  normScratch
+	vals  []float64
+	nices []int
 }
 
 var _ Translator = (*NiceTranslator)(nil)
@@ -92,18 +96,15 @@ func (t *NiceTranslator) Apply(sched Schedule, entities map[string]Entity) error
 	if len(sched.Single) == 0 {
 		return errors.New("core: nice translator needs a single-priority schedule")
 	}
-	if t.nices == nil {
-		t.nices = make(map[string]int, len(sched.Single))
-	}
-	normalizeToNiceInto(sched.Single, sched.Scale, t.clamp, t.nices, &t.norm)
+	t.keys, t.vals, _ = orderedValues(t.keys, t.vals, sched.Single, identity)
+	t.nices = normalizeNice(t.keys, t.vals, sched.Scale, t.clamp, t.nices)
 	var errs []error
-	t.keys = appendSortedKeys(t.keys, t.nices)
-	for _, name := range t.keys {
+	for i, name := range t.keys {
 		ent, ok := entities[name]
 		if !ok || ent.Thread == 0 {
 			continue // no dedicated thread (e.g. worker-pool engines)
 		}
-		if err := t.os.SetNice(ent.Thread, t.nices[name]); err != nil && !IsVanished(err) {
+		if err := t.os.SetNice(ent.Thread, t.nices[i]); err != nil && !IsVanished(err) {
 			errs = append(errs, fmt.Errorf("renice %s: %w", name, err))
 		}
 	}
@@ -143,16 +144,17 @@ type CgroupRemover interface {
 type SharesTranslator struct {
 	os     OSInterface
 	lo, hi int
-	prev   map[string]bool
+	// prev is the group set of the last apply — the cgroups this translator
+	// has created and not yet removed. It is rewritten only when the key
+	// set changed: with an unchanged one it already equals the current set.
+	prev map[string]bool
 
-	// Reused per-apply scratch (see NiceTranslator): group priorities,
-	// normalized shares, sorted keys, normalization intermediates, and the
-	// spare current-group set swapped with prev each apply.
-	prios  map[string]float64
-	shares map[string]int
+	// Cached sorted group order with the group priorities and shares at the
+	// same indexes (see NiceTranslator). Reset drops the order, so the next
+	// apply re-creates the groups and records them in prev.
 	keys   []string
-	norm   normScratch
-	cur    map[string]bool
+	vals   []float64
+	shares []int
 }
 
 var _ Translator = (*SharesTranslator)(nil)
@@ -175,47 +177,46 @@ func (*SharesTranslator) Name() string { return "cpu.shares" }
 // Apply implements Translator.
 func (t *SharesTranslator) Apply(sched Schedule, entities map[string]Entity) error {
 	groups := sched.Groups
-	if len(groups) == 0 {
-		if len(sched.Single) == 0 {
-			return errors.New("core: shares translator needs groups or single priorities")
-		}
-		groups = perOpGroups(sched.Single)
+	// Without explicit groups every operator is a group of its own, named
+	// after it.
+	perOp := len(groups) == 0
+	var rebuilt bool
+	switch {
+	case !perOp:
+		t.keys, t.vals, rebuilt = orderedValues(t.keys, t.vals, groups, groupPriority)
+	case len(sched.Single) > 0:
+		t.keys, t.vals, rebuilt = orderedValues(t.keys, t.vals, sched.Single, identity)
+	default:
+		return errors.New("core: shares translator needs groups or single priorities")
 	}
-	if t.prios == nil {
-		t.prios = make(map[string]float64, len(groups))
-		t.shares = make(map[string]int, len(groups))
-	}
-	clear(t.prios)
-	for gid, g := range groups {
-		t.prios[gid] = g.Priority
-	}
-	normalizeToSharesInto(t.prios, sched.Scale, t.lo, t.hi, t.shares, &t.norm)
+	t.shares = normalizeShares(t.vals, sched.Scale, t.lo, t.hi, t.shares)
 	var errs []error
-	t.keys = appendSortedKeys(t.keys, t.shares)
-	for _, gid := range t.keys {
+	for i, gid := range t.keys {
 		if err := t.os.EnsureCgroup(gid); err != nil {
 			errs = append(errs, fmt.Errorf("cgroup %s: %w", gid, err))
 			continue
 		}
-		if err := t.os.SetShares(gid, t.shares[gid]); err != nil && !IsVanished(err) {
+		if err := t.os.SetShares(gid, t.shares[i]); err != nil && !IsVanished(err) {
 			errs = append(errs, fmt.Errorf("shares %s: %w", gid, err))
 		}
+		if perOp {
+			errs = t.move(errs, gid, gid, entities)
+			continue
+		}
 		for _, opName := range groups[gid].Ops {
-			ent, ok := entities[opName]
-			if !ok || ent.Thread == 0 {
-				continue
-			}
-			if err := t.os.MoveThread(ent.Thread, gid); err != nil && !IsVanished(err) {
-				errs = append(errs, fmt.Errorf("move %s to %s: %w", opName, gid, err))
-			}
+			errs = t.move(errs, opName, gid, entities)
 		}
 	}
+	if !rebuilt {
+		return errors.Join(errs...)
+	}
 
-	// Garbage-collect cgroups whose group vanished from the schedule. A
-	// group already gone (vanished) is success, not failure.
+	// The key set changed: garbage-collect cgroups whose group vanished
+	// from the schedule. A group already gone (vanished) is success, not
+	// failure.
 	if remover, ok := t.os.(CgroupRemover); ok {
 		for gid := range t.prev {
-			if _, still := groups[gid]; still {
+			if _, still := slices.BinarySearch(t.keys, gid); still {
 				continue
 			}
 			if err := remover.RemoveCgroup(gid); err != nil && !IsVanished(err) {
@@ -223,19 +224,25 @@ func (t *SharesTranslator) Apply(sched Schedule, entities map[string]Entity) err
 			}
 		}
 	}
-	// Swap prev and the scratch set instead of allocating a fresh map: the
-	// outgoing prev becomes next apply's scratch.
-	cur := t.cur
-	if cur == nil {
-		cur = make(map[string]bool, len(groups))
+	clear(t.prev)
+	for _, gid := range t.keys {
+		t.prev[gid] = true
 	}
-	clear(cur)
-	for gid := range groups {
-		cur[gid] = true
-	}
-	t.cur = t.prev
-	t.prev = cur
 	return errors.Join(errs...)
+}
+
+func groupPriority(g Group) float64 { return g.Priority }
+
+// move places one operator's thread (if it has a dedicated one) in a group.
+func (t *SharesTranslator) move(errs []error, opName, gid string, entities map[string]Entity) []error {
+	ent, ok := entities[opName]
+	if !ok || ent.Thread == 0 {
+		return errs
+	}
+	if err := t.os.MoveThread(ent.Thread, gid); err != nil && !IsVanished(err) {
+		errs = append(errs, fmt.Errorf("move %s to %s: %w", opName, gid, err))
+	}
+	return errs
 }
 
 // Reset implements Resetter: entity threads return to their original
@@ -261,7 +268,8 @@ func (t *SharesTranslator) Reset(entities map[string]Entity) error {
 			}
 		}
 	}
-	t.prev = make(map[string]bool)
+	clear(t.prev)
+	t.keys = t.keys[:0]
 	return errors.Join(errs...)
 }
 
